@@ -14,7 +14,8 @@ through :meth:`repro.driver.Session.check_many` with
   corpus that must be answered entirely from the cache.
 
 ``programs_per_sec`` counters, the jobs-N speedup ratios, and the
-session's ``pool_stats`` land in ``BENCH_perf.json`` under ``e13.*``.
+session's ``pool.*`` registry counters land in ``BENCH_perf.json``
+under ``e13.*``.
 Correctness (ordering, ok-ness, cache hit counts, byte-identical warm
 results, pool reuse under ``REPRO_PARALLEL=always``) is asserted always.
 
@@ -30,7 +31,13 @@ import tempfile
 
 import pytest
 
-from benchreport import emit, record_counter, report_only, time_op
+from benchreport import (
+    drain_registry,
+    emit,
+    record_counter,
+    report_only,
+    time_op,
+)
 from bench_e12_frontend_pipeline import make_corpus
 from repro.driver import Session
 from repro.driver.batch import (
@@ -39,6 +46,7 @@ from repro.driver.batch import (
     payload_bytes,
     result_to_payload,
 )
+from repro.telemetry import REGISTRY
 
 CORPUS_SIZE = 150
 
@@ -84,8 +92,10 @@ def test_report_parallel_batch_throughput(tmp_path):
     record_counter("e13.speedup.jobs2_vs_jobs1", round(speedup2, 2))
     record_counter("e13.speedup.jobs4_vs_jobs1", round(speedup4, 2))
     record_counter("e13.cpu_count", os.cpu_count() or 1)
-    for key, value in session.pool_stats.items():
-        record_counter(f"e13.pool.{key}", value)
+    for name in ("pools_created", "pools_reused", "parallel_batches",
+                 "serial_batches"):
+        record_counter(f"e13.pool.{name}",
+                       REGISTRY.counter(f"pool.{name}").value)
     session.close()
 
     # -- pool reuse, proven by counters (forced past the serial cutoff) -----
@@ -94,11 +104,13 @@ def test_report_parallel_batch_throughput(tmp_path):
     try:
         forced = Session()
         serial_results = Session().check_many(corpus)
+        drain_registry()
         first = _check_jobs(forced, corpus, 2)
         second = _check_jobs(forced, corpus[: CORPUS_SIZE // 2], 2)
-        assert forced.pool_stats["pools_created"] == 1, forced.pool_stats
-        assert forced.pool_stats["pools_reused"] >= 1, forced.pool_stats
-        assert forced.pool_stats["parallel_batches"] == 2, forced.pool_stats
+        pool = REGISTRY.counters_with_prefix("pool.")
+        assert REGISTRY.counter("pool.pools_created").value == 1, pool
+        assert REGISTRY.counter("pool.pools_reused").value >= 1, pool
+        assert REGISTRY.counter("pool.parallel_batches").value == 2, pool
         assert [payload_bytes(result_to_payload(r)) for r in first] == \
             [payload_bytes(result_to_payload(r)) for r in serial_results], \
             "pooled results must be byte-identical to serial results"
@@ -117,24 +129,26 @@ def test_report_parallel_batch_throughput(tmp_path):
                    lambda: Session().check_many(corpus, cache=cache_path),
                    repeats=1, meta={"programs": CORPUS_SIZE})
     warm_cache = ResultCache(cache_path)
+    drain_registry()
     warm = time_op("e13.cache_warm",
                    lambda: Session().check_many(corpus, cache=warm_cache),
                    repeats=1, meta={"programs": CORPUS_SIZE})
     # The cache is hierarchical since schema v2: an unchanged file is
     # answered whole from its file-level entry (never re-parsed), so a
     # fully warm run hits once per file and never touches the unit layer.
-    assert warm_cache.file_hits == CORPUS_SIZE \
-        and warm_cache.misses == 0, \
+    assert REGISTRY.counter("cache.file.hits").value == CORPUS_SIZE \
+        and REGISTRY.counter("cache.unit.misses").value == 0, \
         "warm run was not answered entirely from the cache"
     assert [payload_bytes(result_to_payload(r)) for r in cold] == \
         [payload_bytes(result_to_payload(r)) for r in warm], \
         "cache hits must be byte-identical to the results they cached"
     # Store-level shape of the warm run (schema v4): answered from the
     # file-entry shards alone, and a no-op save writes nothing back.
-    assert warm_cache.shards_written == 0
-    record_counter("e13.store.warm_shards_read", warm_cache.shards_read)
-    record_counter("e13.store.warm_shards_written",
-                   warm_cache.shards_written)
+    shards_written = REGISTRY.counter("cache.store.shards_written").value
+    assert shards_written == 0
+    record_counter("e13.store.warm_shards_read",
+                   REGISTRY.counter("cache.store.shards_read").value)
+    record_counter("e13.store.warm_shards_written", shards_written)
 
     cold_seconds = benchreport._TIMINGS["e13.cache_cold"]["seconds"]
     warm_seconds = benchreport._TIMINGS["e13.cache_warm"]["seconds"]
@@ -185,8 +199,10 @@ def test_cache_invalidation_is_per_binding():
         edited = list(corpus)
         filename, source = edited[5]
         edited[5] = (filename, source + "\nextra :: Int\nextra = 1 + 1\n")
-        cache = ResultCache(path)
-        results = Session().check_many(edited, cache=cache)
-        assert cache.file_hits == len(corpus) - 1
-        assert cache.hits == len(cold[5].bindings) and cache.misses == 1
+        drain_registry()
+        results = Session().check_many(edited, cache=ResultCache(path))
+        assert REGISTRY.counter("cache.file.hits").value == len(corpus) - 1
+        assert REGISTRY.counter("cache.unit.hits").value == \
+            len(cold[5].bindings)
+        assert REGISTRY.counter("cache.unit.misses").value == 1
         assert any(b.name == "extra" for b in results[5].bindings)

@@ -25,10 +25,17 @@ import os
 
 import pytest
 
-from benchreport import emit, record_counter, report_only, time_op
+from benchreport import (
+    drain_registry,
+    emit,
+    record_counter,
+    report_only,
+    time_op,
+)
 from repro.driver import Session
 from repro.driver.batch import ResultCache
 from repro.fuzz import DifferentialHarness, GenOptions, generate_corpus
+from repro.telemetry import REGISTRY
 
 CORPUS_SEED = 14
 CORPUS_SIZE = 1000
@@ -68,17 +75,20 @@ def test_report_fuzz_corpus_throughput(tmp_path):
     time_op("e14.cache_cold", lambda: _check(sources, cache=cache_path),
             repeats=1, meta={"programs": CORPUS_SIZE})
     warm_cache = ResultCache(cache_path)
+    drain_registry()
     time_op("e14.cache_warm", lambda: _check(sources, cache=warm_cache),
             repeats=1, meta={"programs": CORPUS_SIZE})
     # Hierarchical cache (schema v2): unchanged programs are answered
     # whole from their file-level entries.
-    assert warm_cache.file_hits == CORPUS_SIZE and warm_cache.misses == 0, \
+    assert REGISTRY.counter("cache.file.hits").value == CORPUS_SIZE \
+        and REGISTRY.counter("cache.unit.misses").value == 0, \
         "warm run was not answered entirely from the cache"
     # Store-level shape (schema v4): a warm no-op writes nothing back.
-    assert warm_cache.shards_written == 0
-    record_counter("e14.store.warm_shards_read", warm_cache.shards_read)
-    record_counter("e14.store.warm_shards_written",
-                   warm_cache.shards_written)
+    shards_written = REGISTRY.counter("cache.store.shards_written").value
+    assert shards_written == 0
+    record_counter("e14.store.warm_shards_read",
+                   REGISTRY.counter("cache.store.shards_read").value)
+    record_counter("e14.store.warm_shards_written", shards_written)
 
     sample = corpus[:DIFFERENTIAL_SAMPLE]
 

@@ -138,24 +138,30 @@ def test_report_incremental_recheck(tmp_path):
         payload_bytes(result_to_payload(cold[0]))
     # Store-level shape of the warm no-op (schema v4): one file-entry
     # shard read, nothing written back.
-    probe = throwaway_cache()
-    session.check_many([(FILENAME, source)], cache=probe)
-    assert probe.shards_written == 0
-    record_counter("e15.store.warm_shards_read", probe.shards_read)
-    record_counter("e15.store.warm_shards_written", probe.shards_written)
+    shards_read = REGISTRY.counter("cache.store.shards_read")
+    shards_written = REGISTRY.counter("cache.store.shards_written")
+    read_before, written_before = shards_read.value, shards_written.value
+    session.check_many([(FILENAME, source)], cache=throwaway_cache())
+    assert shards_written.value == written_before
+    record_counter("e15.store.warm_shards_read",
+                   shards_read.value - read_before)
+    record_counter("e15.store.warm_shards_written",
+                   shards_written.value - written_before)
 
     # -- warm no-op through the session's hot tier (no disk at all) ----------
-    tier = session.store_hot_tier()
+    # The session's tier is the only one in this test, so the registry's
+    # hot-hit count is the tier's.
+    hot_hits = REGISTRY.counter("cache.store.hot_hits")
     session.check_many([(FILENAME, source)], cache=cache_path)  # charge it
-    hits_before = tier.hits
+    hits_before = hot_hits.value
     warm_hot = time_op(
         "e15.warm_noop_hot",
         lambda: session.check_many([(FILENAME, source)], cache=cache_path),
         repeats=3, meta={"bindings": NUM_BINDINGS})
-    assert tier.hits > hits_before, "hot tier never engaged"
+    assert hot_hits.value > hits_before, "hot tier never engaged"
     assert payload_bytes(result_to_payload(warm_hot[0])) == \
         payload_bytes(result_to_payload(cold[0]))
-    record_counter("e15.store.hot_hits", tier.hits)
+    record_counter("e15.store.hot_hits", hot_hits.value)
 
     # -- the headline: edit one leaf binding's body --------------------------
     leaf = f"b{NUM_BINDINGS - 1}"          # nothing depends on the last one

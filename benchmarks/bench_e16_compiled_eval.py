@@ -24,7 +24,13 @@ import sys
 
 import pytest
 
-from benchreport import emit, record_counter, report_only, time_op
+from benchreport import (
+    drain_registry,
+    emit,
+    record_counter,
+    report_only,
+    time_op,
+)
 from repro.driver import DriverOptions, Session
 from repro.driver.batch import ResultCache
 from repro.runtime.evaluator import Evaluator, Program
@@ -33,6 +39,7 @@ from repro.runtime.programs import (
     sum_to_unboxed_module,
 )
 from repro.runtime.values import UnboxedInt
+from repro.telemetry import REGISTRY
 
 #: Loop sizes — large enough to dominate the per-call setup, small enough
 #: that the *interpreted* baseline neither takes seconds nor exhausts the
@@ -115,6 +122,7 @@ def test_report_compiled_eval_throughput(tmp_path):
                                      cache=cache_path),
         repeats=1, meta={"bindings": CODEGEN_BINDINGS + 1})
     warm_cache = ResultCache(cache_path)
+    drain_registry()
     warm = time_op(
         "e16.codegen_warm",
         lambda: Session(options).run(source, "codegen.lev",
@@ -125,7 +133,8 @@ def test_report_compiled_eval_throughput(tmp_path):
     assert warm.codegen_compiled == 0, \
         "warm run re-generated code the cache should have served"
     assert warm.codegen_cached == CODEGEN_BINDINGS + 1
-    assert warm_cache.codegen_hits == CODEGEN_BINDINGS + 1
+    assert REGISTRY.counter("cache.codegen.hits").value == \
+        CODEGEN_BINDINGS + 1
 
     import benchreport
     cold_seconds = benchreport._TIMINGS["e16.codegen_cold"]["seconds"]

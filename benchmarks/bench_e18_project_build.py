@@ -117,23 +117,29 @@ def test_report_project_build(tmp_path):
     assert project_bytes(noop.results) == project_bytes(cold.results)
     # Store-level shape of the warm no-op (schema v4): outline + file
     # entries only, nothing written back.
-    probe = throwaway_cache()
-    check_project(items, cache=probe, session=Session())
-    assert probe.shards_written == 0
-    record_counter("e18.store.warm_shards_read", probe.shards_read)
-    record_counter("e18.store.warm_shards_written", probe.shards_written)
+    shards_read = REGISTRY.counter("cache.store.shards_read")
+    shards_written = REGISTRY.counter("cache.store.shards_written")
+    read_before, written_before = shards_read.value, shards_written.value
+    check_project(items, cache=throwaway_cache(), session=Session())
+    assert shards_written.value == written_before
+    record_counter("e18.store.warm_shards_read",
+                   shards_read.value - read_before)
+    record_counter("e18.store.warm_shards_written",
+                   shards_written.value - written_before)
 
     # -- warm no-op through the session's hot tier ----------------------------
-    tier = session.store_hot_tier()
+    # The session's tier is the only one in this test, so the registry's
+    # hot-hit count is the tier's.
+    hot_hits = REGISTRY.counter("cache.store.hot_hits")
     check_project(items, cache=cache_path, session=session)  # charge it
-    hits_before = tier.hits
+    hits_before = hot_hits.value
     hot_noop = time_op(
         "e18.warm_noop_hot",
         lambda: check_project(items, cache=cache_path, session=session),
         repeats=3, meta={"modules": NUM_MODULES})
-    assert tier.hits > hits_before, "hot tier never engaged"
+    assert hot_hits.value > hits_before, "hot tier never engaged"
     assert project_bytes(hot_noop.results) == project_bytes(cold.results)
-    record_counter("e18.store.hot_hits", tier.hits)
+    record_counter("e18.store.hot_hits", hot_hits.value)
 
     # -- the headline: body-only edit in the base module ----------------------
     base_name, base_source = items[0]

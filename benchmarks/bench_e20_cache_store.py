@@ -82,6 +82,8 @@ def test_report_cache_store(tmp_path):
     drain_registry()  # isolate this section's cache.store.* counters
     corpus = make_corpus()
     probes = [_key(i) for i in range(0, NUM_ENTRIES, NUM_ENTRIES // PROBES)]
+    shards_read = REGISTRY.counter("cache.store.shards_read")
+    shards_written = REGISTRY.counter("cache.store.shards_written")
 
     # -- the two layouts, same 10k entries -----------------------------------
     sharded_root = str(tmp_path / "sharded")
@@ -90,7 +92,7 @@ def test_report_cache_store(tmp_path):
         seed.put(key, payload)
     seed.save()
     record_counter("e20.entries", NUM_ENTRIES)
-    record_counter("e20.seed.shards_written", seed.shards_written)
+    record_counter("e20.seed.shards_written", shards_written.value)
 
     monolithic_path = str(tmp_path / "monolithic.json")
     with open(monolithic_path, "w", encoding="utf-8") as handle:
@@ -104,20 +106,21 @@ def test_report_cache_store(tmp_path):
         return [entries[key] for key in probes]
 
     def sharded_noop():
+        before = shards_read.value
         store = ShardStore(sharded_root)
         found = [store.get(key) for key in probes]
         assert store.save() == 0    # nothing dirty: nothing written
-        return found, store
+        return found, shards_read.value - before
 
     legacy_found = time_op("e20.warm_noop.legacy", monolithic_noop,
                            repeats=3, meta={"entries": NUM_ENTRIES,
                                             "probes": PROBES})
-    found, probe_store = time_op("e20.warm_noop.current", sharded_noop,
+    found, probe_reads = time_op("e20.warm_noop.current", sharded_noop,
                                  repeats=3, meta={"entries": NUM_ENTRIES,
                                                   "probes": PROBES})
     assert found == legacy_found, "layouts disagree on the probed entries"
-    assert probe_store.shards_read <= PROBES
-    record_counter("e20.warm_noop.shards_read", probe_store.shards_read)
+    assert probe_reads <= PROBES
+    record_counter("e20.warm_noop.shards_read", probe_reads)
 
     # -- the same probe against a warm hot tier: no files at all -------------
     hot = HotTier()
@@ -126,14 +129,17 @@ def test_report_cache_store(tmp_path):
         ShardStore(sharded_root, hot=hot).get(key)
 
     def hot_noop():
+        before = shards_read.value
         store = ShardStore(sharded_root, hot=hot)
         found = [store.get(key) for key in probes]
-        assert store.shards_read == 0
+        assert shards_read.value == before
         return found
 
     assert time_op("e20.warm_noop_hot", hot_noop, repeats=3,
                    meta={"probes": PROBES}) == legacy_found
-    record_counter("e20.hot.hits", hot.hits)
+    # The only tier so far, so the registry's hot hits are its own.
+    record_counter("e20.hot.hits",
+                   REGISTRY.counter("cache.store.hot_hits").value)
     record_counter("e20.hot.shards", len(hot))
 
     # -- single edit: persist one changed entry ------------------------------
@@ -155,14 +161,13 @@ def test_report_cache_store(tmp_path):
         written = store.save()
         assert written <= SINGLE_EDIT_MAX_SHARDS, \
             f"single edit rewrote {written} shards"
-        return store
+        return written
 
     time_op("e20.single_edit.legacy", monolithic_single_edit, repeats=3,
             meta={"entries": NUM_ENTRIES})
-    edit_store = time_op("e20.single_edit.current", sharded_single_edit,
-                         repeats=3, meta={"entries": NUM_ENTRIES})
-    record_counter("e20.single_edit.shards_written",
-                   edit_store.shards_written)
+    edit_written = time_op("e20.single_edit.current", sharded_single_edit,
+                           repeats=3, meta={"entries": NUM_ENTRIES})
+    record_counter("e20.single_edit.shards_written", edit_written)
     # Put the seed corpus back so later sections see pristine entries.
     restore = ShardStore(sharded_root)
     restore.put(edited_key, corpus[edited_key])
@@ -202,22 +207,23 @@ def test_report_cache_store(tmp_path):
     pad.save()
 
     def warm_check():
-        warm_cache = ResultCache(check_root)
-        results = Session().check_many(check_corpus, cache=warm_cache)
-        assert warm_cache.file_hits == len(check_corpus)
-        assert warm_cache.shards_written == 0
-        return results, warm_cache
+        file_hits = REGISTRY.counter("cache.file.hits")
+        before = (file_hits.value, shards_read.value, shards_written.value)
+        results = Session().check_many(check_corpus,
+                                       cache=ResultCache(check_root))
+        assert file_hits.value - before[0] == len(check_corpus)
+        assert shards_written.value == before[2]
+        return results, shards_read.value - before[1]
 
-    warm, warm_cache = time_op("e20.check_warm_noop", warm_check, repeats=3,
+    warm, warm_reads = time_op("e20.check_warm_noop", warm_check, repeats=3,
                                meta={"programs": len(check_corpus),
                                      "padding_entries": NUM_ENTRIES})
     assert [payload_bytes(result_to_payload(r)) for r in warm] == \
         [payload_bytes(result_to_payload(r)) for r in cold], \
         "warm results must be byte-identical to cold ones"
-    assert warm_cache.shards_read <= len(check_corpus), \
+    assert warm_reads <= len(check_corpus), \
         "a warm no-op read more shards than it has files"
-    record_counter("e20.check_warm_noop.shards_read",
-                   warm_cache.shards_read)
+    record_counter("e20.check_warm_noop.shards_read", warm_reads)
     record_counter("e20.store",
                    REGISTRY.counters_with_prefix("cache.store."))
 
@@ -240,13 +246,13 @@ def test_report_cache_store(tmp_path):
          f"{legacy_s * 1000:.1f}ms"),
         ("warm no-op, sharded", f"{speedup:.1f}x vs monolithic",
          f"{current_s * 1000:.1f}ms "
-         f"({probe_store.shards_read} shard(s))"),
+         f"({probe_reads} shard(s))"),
         ("warm no-op, hot tier", "no file I/O",
          f"{hot_s * 1000:.2f}ms"),
         ("single edit persist", f"{edit_legacy_s / edit_current_s:.1f}x "
          "vs monolithic",
          f"{edit_current_s * 1000:.1f}ms "
-         f"({edit_store.shards_written} shard(s))"),
+         f"({edit_written} shard(s))"),
         ("two-writer stress", "0 entries lost",
          f"{len(survived)} survived"),
     ])

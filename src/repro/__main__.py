@@ -380,36 +380,6 @@ def _parse_age(text: str) -> float:
     return value * scale
 
 
-def _cache_payload_validator():
-    """One ``validator(key, payload)`` covering every key namespace."""
-    from .driver.batch import (
-        _codegen_payload_valid,
-        _exports_payload_valid,
-        _file_payload_valid,
-        _outline_payload_valid,
-        _unit_payload_valid,
-    )
-    from .driver.store import table_of
-
-    validators = {
-        # The unit table holds both per-unit and whole-file entries.
-        "unit": lambda payload: (_unit_payload_valid(payload)
-                                 or _file_payload_valid(payload)),
-        "pfile": _file_payload_valid,
-        "outline": _outline_payload_valid,
-        "exports": _exports_payload_valid,
-        "codegen": _codegen_payload_valid,
-    }
-
-    def validate(key: str, payload) -> bool:
-        if not isinstance(payload, dict):
-            return False
-        checker = validators.get(table_of(key))
-        return True if checker is None else checker(payload)
-
-    return validate
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     from .driver.store import ShardStore
 
@@ -434,7 +404,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                       f"{row['shards']} shard(s), {row['bytes']} bytes")
         return 0
     if args.action == "verify":
-        problems = store.verify(_cache_payload_validator())
+        problems = store.verify(check_payloads=True)
         if args.json:
             print(json.dumps({"ok": not problems, "problems": problems},
                              indent=2))

@@ -68,7 +68,18 @@ from ..telemetry import (
     TRACER as _TRACER,
 )
 from .depgraph import CheckUnit, ModulePlan, build_plan
-from .store import CACHE_SCHEMA, HotTier, ShardStore
+from .store import (
+    CACHE_SCHEMA,
+    CODEGEN,
+    EXPORTS,
+    FILE,
+    OUTLINE,
+    PFILE,
+    UNIT,
+    CacheTable,
+    HotTier,
+    ShardStore,
+)
 from .session import (
     BindingSummary,
     CheckResult,
@@ -255,37 +266,6 @@ def payload_from_unit_outcome(outcome: UnitOutcome) -> dict:
     return {"members": members}
 
 
-def _unit_payload_valid(payload: dict) -> bool:
-    """Shape-check a unit payload before trusting a cache entry."""
-    try:
-        members = payload["members"]
-        if not isinstance(members, list):
-            return False
-        for member in members:
-            member["name"]; member["rendered"]; member["ok"]
-            member["scheme_src"]
-            list(member["defaulted_rep_vars"])
-            if member["span"] is not None:
-                Span(*member["span"][1:])
-            for diagnostic in member["diagnostics"]:
-                diagnostic["severity"]; diagnostic["stage"]
-                diagnostic["message"]; diagnostic["binding"]
-                if diagnostic["span"] is not None:
-                    Span(*diagnostic["span"][1:])
-    except (KeyError, TypeError, IndexError):
-        return False
-    return True
-
-
-def _file_payload_valid(payload: dict) -> bool:
-    """Shape-check a whole-file payload before trusting a cache entry."""
-    try:
-        result_from_payload(payload, "<probe>")
-    except (KeyError, TypeError, IndexError):
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Cache keys
 # ---------------------------------------------------------------------------
@@ -364,23 +344,24 @@ def project_file_key(source: str,
     rendering of its exported scheme, exactly as supplied to the module's
     units — so a dependency edit that leaves every referenced scheme
     unchanged keeps the whole module a file-level hit (no re-parse), while
-    a scheme change re-opens the module for its unit walk.  The ``pfile:``
-    prefix keeps project entries disjoint from single-file entries of the
-    same source (their payloads differ: import warnings).
+    a scheme change re-opens the module for its unit walk.  The
+    :data:`~repro.driver.store.PFILE` table keeps project entries disjoint
+    from single-file entries of the same source (their payloads differ:
+    import warnings).
     """
-    return "pfile:" + unit_key(source, ext_items, options, _fingerprint)
+    return PFILE.key(unit_key(source, ext_items, options, _fingerprint))
 
 
 def outline_key(source: str, options: DriverOptions,
                 _fingerprint: Optional[str] = None) -> str:
-    """Key of a source's ``outline:`` side-table entry.
+    """Key of a source's :data:`~repro.driver.store.OUTLINE` entry.
 
     An outline is a pure function of the source text (module name, import
     declarations with spans, union of foreign references) that lets the
     project planner build the module graph for unchanged files without
     re-parsing them.
     """
-    return "outline:" + cache_key(source, options, _fingerprint)
+    return OUTLINE.key(cache_key(source, options, _fingerprint))
 
 
 def codegen_cache_key(key: str) -> str:
@@ -393,69 +374,7 @@ def codegen_cache_key(key: str) -> str:
     """
     from ..runtime.compiler import CODEGEN_VERSION
 
-    return f"codegen{CODEGEN_VERSION}:{key}"
-
-
-def _codegen_payload_valid(payload: dict) -> bool:
-    """Shape-check a codegen payload before trusting a cache entry."""
-    try:
-        functions = payload["functions"]
-        arities = payload["arities"]
-        if not isinstance(functions, dict) or not isinstance(arities, dict):
-            return False
-        for name, source in functions.items():
-            if not isinstance(name, str):
-                return False
-            if source is not None and not isinstance(source, str):
-                return False
-        for name, arity in arities.items():
-            if not isinstance(name, str) or not isinstance(arity, int):
-                return False
-    except (KeyError, TypeError):
-        return False
-    return True
-
-
-def _exports_payload_valid(payload: dict) -> bool:
-    """Shape-check an ``exports:`` side-table entry.
-
-    ``{"exports": null}`` is valid and marks a module that failed entirely
-    (did not parse): importers skip structurally instead of re-checking.
-    """
-    try:
-        exports = payload["exports"]
-        if exports is None:
-            return True
-        if not isinstance(exports, dict):
-            return False
-        for name, scheme_src in exports.items():
-            if not isinstance(name, str):
-                return False
-            if scheme_src is not None and not isinstance(scheme_src, str):
-                return False
-    except (KeyError, TypeError):
-        return False
-    return True
-
-
-def _outline_payload_valid(payload: dict) -> bool:
-    """Shape-check an ``outline:`` side-table entry."""
-    try:
-        name = payload["name"]
-        if name is not None and not isinstance(name, str):
-            return False
-        if not isinstance(payload["parse_error"], bool):
-            return False
-        for import_name, span in payload["imports"]:
-            if not isinstance(import_name, str):
-                return False
-            Span(*span)
-        for foreign in payload["foreign"]:
-            if not isinstance(foreign, str):
-                return False
-    except (KeyError, TypeError, ValueError, IndexError):
-        return False
-    return True
+    return CODEGEN.key(key, CODEGEN_VERSION)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +383,8 @@ def _outline_payload_valid(payload: dict) -> bool:
 
 
 class ResultCache:
-    """A store-backed map from unit keys to unit payloads.
+    """A store-backed map from cache keys to payloads, read and written
+    one declared :class:`~repro.driver.store.CacheTable` at a time.
 
     With a ``path`` the entries live in a sharded directory managed by
     :class:`repro.driver.store.ShardStore` (see that module for the
@@ -472,10 +392,10 @@ class ResultCache:
     is O(1) regardless of cache size.  Without a path the cache is a
     plain in-process dict (the REPL's ``:load`` state, tests).
 
-    ``hits``/``misses``/``stores`` counters make cache behaviour
-    observable to benchmarks, tests and ``--stats``; storing a payload
-    identical to the existing entry is a free no-op at every level
-    (counters, dirty shards, disk).
+    :meth:`get` and :meth:`put` count every table's traffic the same way,
+    as ``cache.<table>.{hits,misses,invalid,stores}`` in the telemetry
+    registry; storing a payload identical to the existing entry is a
+    free no-op at every level (counters, dirty shards, disk).
 
     :meth:`save` persists **exactly the dirty shards**, each with the
     atomic merge-then-replace discipline — concurrent ``--jobs`` runs
@@ -492,21 +412,6 @@ class ResultCache:
         self._memory: Dict[str, dict] = {}
         if path is not None:
             self._store = ShardStore(path, hot=hot)
-        #: Unit-level counters (the granularity ``--stats`` reports).
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        #: Whole-file short-circuit counters: an unchanged file is answered
-        #: from one file-level entry without even being re-parsed.
-        self.file_hits = 0
-        self.file_stores = 0
-        #: Codegen side-table counters (compiled Python sources per unit).
-        self.codegen_hits = 0
-        self.codegen_misses = 0
-        self.codegen_stores = 0
-        #: Project side-table counters (outlines + per-module exports).
-        self.outline_hits = 0
-        self.outline_misses = 0
 
     @property
     def entries(self) -> Dict[str, dict]:
@@ -520,96 +425,33 @@ class ResultCache:
             return self._memory
         return self._store.load_all()
 
-    @property
-    def shards_read(self) -> int:
-        return self._store.shards_read if self._store is not None else 0
+    def get(self, table: CacheTable, key: str) -> Optional[dict]:
+        """The payload under ``key``, or None.
 
-    @property
-    def shards_written(self) -> int:
-        return self._store.shards_written if self._store is not None else 0
-
-    def _get(self, key: str) -> Optional[dict]:
+        A malformed entry (hand-edited shard, truncated write) fails the
+        table's check and counts as ``invalid`` as well as a miss; the
+        re-check that follows overwrites it.
+        """
         if self._store is not None:
-            return self._store.get(key)
-        return self._memory.get(key)
+            payload = self._store.get(key)
+        else:
+            payload = self._memory.get(key)
+        if payload is not None and not table.accepts(payload):
+            _REGISTRY.inc(table.invalid)
+            payload = None
+        _REGISTRY.inc(table.misses if payload is None else table.hits)
+        return payload
 
-    def _put(self, key: str, payload: dict) -> bool:
+    def put(self, table: CacheTable, key: str, payload: dict) -> None:
+        """Store a payload (a store-backed cache rejects keys with an
+        undeclared prefix with ``ValueError``)."""
         if self._store is not None:
-            return self._store.put(key, payload)
-        if self._memory.get(key) == payload:
-            return False
-        self._memory[key] = payload
-        return True
-
-    def lookup(self, key: str) -> Optional[dict]:
-        payload = self._get(key)
-        if payload is not None and not _unit_payload_valid(payload):
-            # A malformed entry (hand-edited shard, truncated write) is a
-            # miss, not an error; the re-check overwrites it.  Validating
-            # here keeps the hit/miss counters truthful.
-            payload = None
-        if payload is None:
-            self.misses += 1
+            changed = self._store.put(key, payload)
         else:
-            self.hits += 1
-        return payload
-
-    def store(self, key: str, payload: dict) -> None:
-        if self._put(key, payload):
-            self.stores += 1
-
-    def lookup_file(self, key: str) -> Optional[dict]:
-        """Whole-file fast path; a miss here is silent (the unit walk that
-        follows keeps the truthful per-unit counters)."""
-        payload = self._get(key)
-        if payload is None or not _file_payload_valid(payload):
-            return None
-        self.file_hits += 1
-        return payload
-
-    def store_file(self, key: str, payload: dict) -> None:
-        if self._put(key, payload):
-            self.file_stores += 1
-
-    def lookup_exports(self, file_key: str) -> Optional[dict]:
-        """The ``exports:`` entry of a project file key, or None.
-
-        The returned payload's ``"exports"`` field is either a
-        ``{name: canonical scheme rendering | None}`` map or None (the
-        module failed entirely — e.g. did not parse)."""
-        payload = self._get("exports:" + file_key)
-        if payload is None or not _exports_payload_valid(payload):
-            return None
-        return payload
-
-    def store_exports(self, file_key: str,
-                      exports: Optional[Dict[str, Optional[str]]]) -> None:
-        self._put("exports:" + file_key, {"exports": exports})
-
-    def lookup_outline(self, key: str) -> Optional[dict]:
-        payload = self._get(key)
-        if payload is None or not _outline_payload_valid(payload):
-            self.outline_misses += 1
-            return None
-        self.outline_hits += 1
-        return payload
-
-    def store_outline(self, key: str, payload: dict) -> None:
-        self._put(key, payload)
-
-    def lookup_codegen(self, key: str) -> Optional[dict]:
-        payload = self._get(key)
-        if payload is not None and not _codegen_payload_valid(payload):
-            payload = None
-        if payload is None:
-            self.codegen_misses += 1
-        else:
-            self.codegen_hits += 1
-        return payload
-
-    def store_codegen(self, key: str, payload: dict) -> None:
-        if self._put(key, payload):
-            self.codegen_stores += 1
+            changed = self._memory.get(key) != payload
+            self._memory[key] = payload
+        if changed:
+            _REGISTRY.inc(table.stores)
 
     def save(self) -> None:
         """Persist dirty shards (see :meth:`ShardStore.save`); a no-op
@@ -664,7 +506,7 @@ def load_codegen(cache: ResultCache, check: CheckResult,
         arities = {dep: arity_of[dep] for dep in unit.deps
                    if dep in arity_of}
         units.append((key, unit.names, arities))
-        payload = cache.lookup_codegen(key)
+        payload = cache.get(CODEGEN, key)
         if payload is None or payload["arities"] != arities:
             continue
         for name in unit.names:
@@ -682,8 +524,8 @@ def store_codegen(cache: ResultCache, units, compiled) -> None:
                      if name in compiled.sources}
         if not functions:
             continue
-        cache.store_codegen(key, {"functions": functions,
-                                  "arities": arities})
+        cache.put(CODEGEN, key, {"functions": functions,
+                                 "arities": arities})
 
 
 # ---------------------------------------------------------------------------
@@ -717,32 +559,56 @@ class UnitTiming:
 
 @dataclass
 class CheckStats:
-    """Per-unit timing and cache behaviour of one ``check_many`` call."""
+    """Per-unit timing and cache behaviour of one ``check_many`` call.
 
+    A per-call report over the telemetry registry's counters: the unit
+    figures are counted from the ``timings`` rows, and every field is
+    bumped at the call that bumps its registry counter (``files`` and
+    ``parse_failures`` with ``batch.*``, ``file_hits`` and
+    ``cache_misses`` on the ``cache.{file,pfile}.hits`` and
+    ``cache.unit.misses`` lookups).
+    """
+
+    #: Every input file, including modules a project graph rejected
+    #: without checking them.
     files: int = 0
     parse_failures: int = 0
     #: Files answered whole from a file-level cache entry (never parsed).
     file_hits: int = 0
-    units: int = 0
-    checked: int = 0
-    cache_hits: int = 0
     cache_misses: int = 0
-    #: Deduplicated duplicate jobs (identical source + deps in one batch).
-    skipped: int = 0
     timings: List[UnitTiming] = field(default_factory=list)
+
+    @property
+    def units(self) -> int:
+        return len(self.timings)
+
+    @property
+    def checked(self) -> int:
+        return self._rows("checked")
+
+    @property
+    def cache_hits(self) -> int:
+        return self._rows("hit")
+
+    @property
+    def skipped(self) -> int:
+        """Deduplicated duplicate jobs (identical source + deps)."""
+        return self._rows("skipped")
+
+    def _rows(self, source: str) -> int:
+        return sum(1 for timing in self.timings if timing.source == source)
+
+    def count_files(self, files: int, parse_failures: int = 0) -> None:
+        self.files += files
+        self.parse_failures += parse_failures
+        _REGISTRY.inc("batch.files", files)
+        if parse_failures:
+            _REGISTRY.inc("batch.parse_failures", parse_failures)
 
     def note(self, filename: str, unit: CheckUnit,
              seconds: Optional[float], source: str) -> None:
-        self.units += 1
-        if source == "hit":
-            self.cache_hits += 1
-            _REGISTRY.inc("cache.unit_hits")
-        elif source == "skipped":
-            self.skipped += 1
-            _REGISTRY.inc("batch.units_skipped")
-        else:
-            self.checked += 1
-            _REGISTRY.inc("batch.units_checked")
+        if source != "hit":
+            _REGISTRY.inc("batch.units_" + source)
         self.timings.append(UnitTiming(filename, unit.names, seconds,
                                        source))
 
@@ -1181,22 +1047,18 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
       references, which the plain source key cannot see).
     * ``exports_out[i]`` — filled with the file's export map
       ({defined name: canonical rendering | None}), or None when the file
-      failed to parse.  Served from the ``exports:`` side-table on
-      file-level hits, so a warm module never re-parses.
+      failed to parse.  Served from the exports table on file-level
+      hits, so a warm module never re-parses.
     """
     options = options or DriverOptions()
     jobs = max(1, int(jobs))
     if session is None:
         session = Session(options)
-    if isinstance(cache, str):
-        # A path-spelled cache is opened against the session's hot tier,
-        # so repeated calls in one warm process serve hot shards from
-        # memory instead of disk.
-        cache = ResultCache(cache, hot=session.store_hot_tier())
+    cache = session.open_cache(cache)
     if stats is None:
         # Counting always (into an internal CheckStats) keeps the
-        # telemetry registry's cache.*/batch.* counters accurate whether
-        # or not the caller asked for a --stats table.
+        # telemetry registry's batch.* counters accurate whether or not
+        # the caller asked for a --stats table.
         stats = CheckStats()
     pipeline = session.pipeline
     fingerprint = options_fingerprint(options)
@@ -1212,31 +1074,26 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
             else cache_key(source, options, fingerprint)
         file_keys.append(file_key)
         if cache is not None:
-            payload = cache.lookup_file(file_key)
-            if payload is not None:
-                exports_payload = cache.lookup_exports(file_key) \
-                    if ext is not None else None
-                if ext is None or exports_payload is not None:
-                    # In project mode a file-level hit must also supply
-                    # the module's exports (importers need them without a
-                    # re-parse); a missing exports entry re-opens the file.
+            # In project mode a file-level hit must also supply the
+            # module's exports (importers need them without a re-parse),
+            # so a missing exports entry re-opens the file unprobed.
+            exports_payload = None
+            if ext is not None:
+                exports_payload = cache.get(EXPORTS, EXPORTS.key(file_key))
+            if ext is None or exports_payload is not None:
+                payload = cache.get(FILE if ext is None else PFILE, file_key)
+                if payload is not None:
                     results[index] = result_from_payload(payload, filename)
-                    if exports_out is not None:
-                        exports_out[index] = exports_payload["exports"] \
-                            if exports_payload is not None else None
-                    _REGISTRY.inc("cache.file_hits")
+                    if exports_out is not None and ext is not None:
+                        exports_out[index] = exports_payload["exports"]
                     stats.file_hits += 1
                     continue
         active.append(_FileState(index, filename, source, pipeline,
                                  externals=ext,
                                  imports_resolved=ext is not None))
 
-    parse_failures = sum(1 for state in active if state.parsed is None)
-    _REGISTRY.inc("batch.files", len(items))
-    if parse_failures:
-        _REGISTRY.inc("batch.parse_failures", parse_failures)
-    stats.files += len(items)
-    stats.parse_failures += parse_failures
+    stats.count_files(len(items), sum(1 for state in active
+                                      if state.parsed is None))
 
     #: In-batch memo: identical units (same key) check at most once even
     #: without a persistent cache.
@@ -1248,11 +1105,9 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
             _TRACER.begin("cache.lookup")
         try:
             if cache is not None:
-                payload = cache.lookup(key)
+                payload = cache.get(UNIT, key)
                 if payload is None:
-                    _REGISTRY.inc("cache.unit_misses")
-                    if stats is not None:
-                        stats.cache_misses += 1
+                    stats.cache_misses += 1
                 return payload
             return memo.get(key)
         finally:
@@ -1261,7 +1116,7 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
 
     def record(key: str, payload: dict) -> None:
         if cache is not None:
-            cache.store(key, payload)  # identical payloads store free
+            cache.put(UNIT, key, payload)  # identical payloads store free
         memo[key] = payload
 
     if jobs == 1:
@@ -1276,16 +1131,13 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
                 payload = lookup(key)
                 if payload is not None:
                     state.resolve(unit, payload)
-                    if stats is not None:
-                        stats.note(state.filename, unit, None, "hit")
+                    stats.note(state.filename, unit, None, "hit")
                     continue
                 payload, outcome = _compute_unit_payload(
                     pipeline, state.plan, unit.uid, resolver)
                 record(key, payload)
                 state.resolve(unit, payload, outcome)
-                if stats is not None:
-                    stats.note(state.filename, unit, outcome.seconds,
-                               "checked")
+                stats.note(state.filename, unit, outcome.seconds, "checked")
     else:
         _check_units_parallel(active, options, jobs, lookup, record, stats,
                               pipeline, session, fingerprint)
@@ -1300,11 +1152,15 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
             # File-level short-circuit entry for the next unchanged run.
             # The filename is normalised out (re-stamped on load), so
             # identical sources share one entry regardless of name.
+            file_key = file_keys[state.index]
             payload = result_to_payload(result)
             payload["filename"] = ""
-            cache.store_file(file_keys[state.index], payload)
             if state.imports_resolved:
-                cache.store_exports(file_keys[state.index], exports)
+                cache.put(PFILE, file_key, payload)
+                cache.put(EXPORTS, EXPORTS.key(file_key),
+                          {"exports": exports})
+            else:
+                cache.put(FILE, file_key, payload)
 
     if cache is not None:
         cache.save()
@@ -1314,7 +1170,7 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
 
 def _check_units_parallel(active: List[_FileState], options: DriverOptions,
                           jobs: int, lookup, record,
-                          stats: Optional[CheckStats],
+                          stats: CheckStats,
                           pipeline: Pipeline,
                           session: Session,
                           fingerprint: Optional[str] = None) -> None:
@@ -1350,8 +1206,7 @@ def _check_units_parallel(active: List[_FileState], options: DriverOptions,
                 payload = lookup(key)
                 if payload is not None:
                     state.resolve(unit, payload)
-                    if stats is not None:
-                        stats.note(state.filename, unit, None, "hit")
+                    stats.note(state.filename, unit, None, "hit")
                     continue
             pending.append(unit.uid)
             pending_uids.add(unit.uid)
@@ -1396,7 +1251,6 @@ def _check_units_parallel(active: List[_FileState], options: DriverOptions,
     pending_units = sum(len(pending) for _, pending in unique)
     effective = _effective_jobs(jobs, pending_units, len(unique))
     if effective <= 1:
-        session.pool_stats["serial_batches"] += 1
         _REGISTRY.inc("pool.serial_batches")
         compute_serially()
     else:
@@ -1428,7 +1282,6 @@ def _check_units_parallel(active: List[_FileState], options: DriverOptions,
                     _TRACER.end("pool.shard",
                                 tid=SHARD_TID_BASE + shard_index)
                     ended += 1
-            session.pool_stats["parallel_batches"] += 1
             _REGISTRY.inc("pool.parallel_batches")
         except (OSError, PermissionError,
                 concurrent.futures.process.BrokenProcessPool):
@@ -1439,7 +1292,6 @@ def _check_units_parallel(active: List[_FileState], options: DriverOptions,
                     _TRACER.end("pool.shard",
                                 tid=SHARD_TID_BASE + shard_index)
             session.discard_pool()
-            session.pool_stats["serial_batches"] += 1
             _REGISTRY.inc("pool.serial_batches")
             compute_serially()
 
@@ -1454,6 +1306,5 @@ def _check_units_parallel(active: List[_FileState], options: DriverOptions,
             if not is_duplicate:
                 record(key, payload)
             state.resolve(unit, payload)
-            if stats is not None:
-                stats.note(state.filename, unit, None,
-                           "skipped" if is_duplicate else "checked")
+            stats.note(state.filename, unit, None,
+                       "skipped" if is_duplicate else "checked")

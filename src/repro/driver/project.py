@@ -29,8 +29,8 @@ That second point is the cross-file early-cutoff property:
   it, and within them re-checks exactly the units that name it.
 
 Warm no-op builds never parse at all: the module graph is rebuilt from
-``outline:`` side-table entries (name + imports + foreign references per
-source text), and per-module exports come from ``exports:`` entries.
+the cache's outline table (name + imports + foreign references per
+source text), and per-module exports come from its exports table.
 
 Checking walks the DAG level by level (every module's imports live in
 strictly earlier levels), handing each level to
@@ -59,6 +59,7 @@ from .batch import (
     project_file_key,
 )
 from .depgraph import _tarjan, build_plan
+from .store import OUTLINE
 from .session import (
     BindingSummary,
     CheckResult,
@@ -183,9 +184,8 @@ def _outline_node(index: int, filename: str, source: str,
     parsing (and storing the outline for the next build)."""
     key = outline_key(source, options, fingerprint)
     if cache is not None:
-        payload = cache.lookup_outline(key)
+        payload = cache.get(OUTLINE, key)
         if payload is not None:
-            _REGISTRY.inc("project.outline_hits")
             header = payload.get("header_span")
             return ModuleNode(
                 index, filename, source, payload["name"],
@@ -194,7 +194,6 @@ def _outline_node(index: int, filename: str, source: str,
                 tuple((name, Span(*span))
                       for name, span in payload["imports"]),
                 tuple(payload["foreign"]))
-    _REGISTRY.inc("project.outline_misses")
     parsed, _diagnostics = pipeline.parse(source, filename)
     if parsed is None:
         node = ModuleNode(index, filename, source, _salvage_name(source),
@@ -208,7 +207,7 @@ def _outline_node(index: int, filename: str, source: str,
             plan.module_name if plan.has_header else None,
             False, plan.header_span, plan.imports, tuple(foreign))
     if cache is not None:
-        cache.store_outline(key, {
+        cache.put(OUTLINE, key, {
             "name": node.name,
             "parse_error": node.parse_error,
             "header_span": _span_fields(node.header_span),
@@ -453,10 +452,7 @@ def check_project(sources: Iterable[Tuple[str, str]],
     if options is None:
         options = session.options
     jobs = max(1, int(jobs or 1))
-    if isinstance(cache, str):
-        # Open against the session's hot tier: repeated project builds
-        # in one warm process serve hot shards from memory.
-        cache = ResultCache(cache, hot=session.store_hot_tier())
+    cache = session.open_cache(cache)
     if stats is None:
         stats = CheckStats()
     fingerprint = options_fingerprint(options)
@@ -476,7 +472,7 @@ def check_project(sources: Iterable[Tuple[str, str]],
         result = CheckResult(node.filename, ok=False)
         result.diagnostics.extend(graph_diagnostics)
         results[index] = result
-        stats.files += 1
+        stats.count_files(1)
         _REGISTRY.inc("project.modules_skipped")
 
     for level_nodes in plan.levels:

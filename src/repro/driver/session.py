@@ -742,31 +742,33 @@ class Session:
         self._repl_project_check = None
         self._repl_overlay: List[str] = []
         #: The persistent worker pool (lazily spawned, reused across
-        #: ``check_many`` calls) and the counters that make its lifecycle
-        #: observable to benchmarks and tests.
+        #: ``check_many`` calls; its lifecycle counts as ``pool.*`` in
+        #: the telemetry registry).
         self._pool = None
         self._pool_size = 0
         self._pool_options: Optional[tuple] = None
         self._pool_finalizer = None
-        self.pool_stats: Dict[str, int] = {
-            "pools_created": 0,
-            "pools_reused": 0,
-            "parallel_batches": 0,
-            "serial_batches": 0,
-        }
         #: The in-memory hot tier over on-disk cache shards, created
-        #: lazily and shared by every path-spelled cache this session
-        #: opens (check_many, check_project, compiled runs) — repeated
-        #: calls in one warm process serve hot shards without disk reads.
+        #: lazily by :meth:`open_cache`.
         self._store_hot = None
 
-    def store_hot_tier(self):
-        """The session's :class:`repro.driver.store.HotTier` (lazy)."""
-        if self._store_hot is None:
-            from .store import HotTier
+    def open_cache(self, cache):
+        """``cache`` as a :class:`repro.driver.batch.ResultCache`.
 
+        A path opens against the session's
+        :class:`~repro.driver.store.HotTier`, shared by every cache the
+        session opens (check_many, check_project, compiled runs), so
+        repeated calls in one warm process serve hot shards from memory
+        instead of disk; a cache object (or None) passes through.
+        """
+        if not isinstance(cache, str):
+            return cache
+        from .batch import ResultCache
+        from .store import HotTier
+
+        if self._store_hot is None:
             self._store_hot = HotTier()
-        return self._store_hot
+        return ResultCache(cache, hot=self._store_hot)
 
     # -- the persistent worker pool -------------------------------------------
 
@@ -798,7 +800,6 @@ class Session:
         pool_key = (options_state, _TRACER.enabled)
         if self._pool is not None:
             if self._pool_size >= jobs and self._pool_options == pool_key:
-                self.pool_stats["pools_reused"] += 1
                 _REGISTRY.inc("pool.pools_reused")
                 return self._pool
             self._shutdown_pool()
@@ -808,7 +809,6 @@ class Session:
         self._pool = pool
         self._pool_size = jobs
         self._pool_options = pool_key
-        self.pool_stats["pools_created"] += 1
         _REGISTRY.inc("pool.pools_created")
         import weakref
 
@@ -952,10 +952,9 @@ class Session:
         codegen_units = None
         cache_obj = None
         if compiled and cache is not None:
-            from .batch import ResultCache, load_codegen
+            from .batch import load_codegen
 
-            cache_obj = ResultCache(cache, hot=self.store_hot_tier()) \
-                if isinstance(cache, str) else cache
+            cache_obj = self.open_cache(cache)
             sources, codegen_units = load_codegen(cache_obj, check,
                                                   self.options)
         traced = _TRACER.enabled

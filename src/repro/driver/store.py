@@ -12,10 +12,12 @@ buys us), so the store:
 * assigns each key to one of :data:`SHARD_COUNT` (=256) shards by the
   first two hex characters of its trailing digest — a uniform split that
   is stable across runs, machines and schema-compatible versions;
-* segregates the key namespaces into per-table directories (``unit/``
-  for bare unit and file keys, plus the ``pfile:``/``outline:``/
-  ``exports:``/``codegen:`` side-tables), so the side-tables never
-  dilute the hot unit shards;
+* declares each key namespace once, as a :class:`CacheTable` (name, key
+  prefix, shard directory, payload check): ``unit/`` holds bare unit and
+  file keys, and the ``pfile:``/``outline:``/``exports:``/``codegen:``
+  side-tables get a directory each, so they never dilute the hot unit
+  shards.  :data:`TABLES`, :func:`table_of` and ``repro cache verify``
+  derive from these declarations;
 * loads shards **lazily** — a warm no-op run reads only the shards it
   actually probes — and tracks dirtiness **per shard**, so a single-unit
   edit rewrites exactly the shards its entries live in and ``save()``
@@ -56,7 +58,9 @@ persisted.
 Metrics (``repro.telemetry``): ``cache.store.shards_read`` /
 ``shards_written`` / ``entries_loaded`` / ``hot_hits`` / ``hot_misses``
 / ``migrations`` / ``gc_dropped``; every shard file read is a
-``cache.shard`` trace span.
+``cache.shard`` trace span.  Table traffic through
+:class:`~repro.driver.batch.ResultCache` counts as
+``cache.<table>.{hits,misses,invalid,stores}``.
 """
 
 from __future__ import annotations
@@ -75,13 +79,22 @@ try:
 except ImportError:  # pragma: no cover — non-POSIX fallback, best-effort
     fcntl = None  # type: ignore[assignment]
 
+from ..frontend.lexer import Span
 from ..telemetry import REGISTRY as _REGISTRY, TRACER as _TRACER
 
 __all__ = [
     "CACHE_SCHEMA",
+    "CACHE_TABLES",
+    "CODEGEN",
+    "EXPORTS",
+    "FILE",
+    "OUTLINE",
+    "PFILE",
     "SHARD_COUNT",
     "STAMP_REFRESH_SECONDS",
     "TABLES",
+    "UNIT",
+    "CacheTable",
     "HotTier",
     "ShardStore",
     "shard_of",
@@ -104,36 +117,168 @@ CACHE_SCHEMA = 4
 #: or write touches well under 1% of the corpus.
 SHARD_COUNT = 256
 
-#: The key namespaces, each its own shard directory.  ``unit`` holds both
-#: per-unit and whole-file entries (bare sha256 keys); the rest mirror
-#: the key prefixes minted by :mod:`repro.driver.batch`.  ``misc`` is the
-#: fallback for unknown prefixes, so a future namespace is storable
-#: before this table learns its name.
-TABLES = ("unit", "pfile", "outline", "exports", "codegen", "misc")
-
 #: A hit refreshes an entry's GC stamp only when the stamp is older than
 #: this (one week): hot entries survive ``gc --max-age`` indefinitely,
 #: while back-to-back no-op runs still write zero shards.
 STAMP_REFRESH_SECONDS = 7 * 24 * 3600.0
 
 
-def table_of(key: str) -> str:
-    """The shard table a key belongs to, by its namespace prefix.
+# ---------------------------------------------------------------------------
+# The cache tables
+# ---------------------------------------------------------------------------
 
-    ``exports:`` keys wrap a *file* key which may itself be prefixed
-    (``exports:pfile:<hex>``); the outermost prefix wins.  Codegen keys
-    carry the generator version in the prefix (``codegen1:<hex>``) and
-    share one table across versions — bumping ``CODEGEN_VERSION``
-    orphans old entries in place, where ``gc`` reaps them.
+
+class CacheTable:
+    """One declared key namespace: how its keys are spelled, where its
+    entries live, and what shape its payloads must have.
+
+    ``prefix`` is the key's namespace head (``""`` for bare SHA-256 keys);
+    ``directory`` is the shard directory its entries live in; ``check``
+    raises on a malformed payload.  A ``versioned`` prefix carries a
+    version number (``codegen1:``): every version shares one directory,
+    so bumping the version orphans old entries in place, where ``gc``
+    reaps them.  Lookups count ``cache.<name>.{hits,misses,invalid,
+    stores}`` into the telemetry registry.
+    """
+
+    def __init__(self, name: str, prefix: str, directory: str,
+                 check: Callable[[dict], None],
+                 versioned: bool = False) -> None:
+        self.name = name
+        self.prefix = prefix
+        self.directory = directory
+        self.check = check
+        self.versioned = versioned
+        self.hits, self.misses, self.invalid, self.stores = (
+            f"cache.{name}.{event}"
+            for event in ("hits", "misses", "invalid", "stores"))
+
+    def key(self, inner: str, version: object = "") -> str:
+        """This table's key for ``inner`` (a digest, or a key it wraps)."""
+        return f"{self.prefix}{version}:{inner}" if self.prefix else inner
+
+    def accepts(self, payload: object) -> bool:
+        try:
+            self.check(payload)
+        except (KeyError, TypeError, ValueError, IndexError):
+            return False
+        return True
+
+
+def _require(condition: bool) -> None:
+    if not condition:
+        raise TypeError("malformed cache payload")
+
+
+def _check_span(span, skip: int) -> None:
+    # Unit payloads store spans relative to a segment: [segment, *span].
+    if span is not None:
+        Span(*span[skip:])
+
+
+def _check_rows(summaries, diagnostics, skip: int) -> None:
+    for summary in summaries:
+        summary["name"]; summary["rendered"]; summary["ok"]
+        list(summary["defaulted_rep_vars"])
+        _check_span(summary["span"], skip)
+    for diagnostic in diagnostics:
+        diagnostic["severity"]; diagnostic["stage"]
+        diagnostic["message"]; diagnostic["binding"]
+        _check_span(diagnostic["span"], skip)
+
+
+_OPTIONAL_STR = (str, type(None))
+
+
+def _check_names(mapping, value_types) -> None:
+    _require(isinstance(mapping, dict))
+    for name, value in mapping.items():
+        _require(isinstance(name, str) and isinstance(value, value_types))
+
+
+def _check_unit(payload) -> None:
+    members = payload["members"]
+    _require(isinstance(members, list))
+    for member in members:
+        member["scheme_src"]
+        _check_rows([member], member["diagnostics"], 1)
+
+
+def _check_file(payload) -> None:
+    payload["ok"]
+    _check_rows(payload["bindings"], payload["diagnostics"], 0)
+
+
+def _check_outline(payload) -> None:
+    name = payload["name"]
+    _require(name is None or isinstance(name, str))
+    _require(isinstance(payload["parse_error"], bool))
+    for import_name, span in payload["imports"]:
+        _require(isinstance(import_name, str))
+        Span(*span)
+    for foreign in payload["foreign"]:
+        _require(isinstance(foreign, str))
+
+
+def _check_exports(payload) -> None:
+    # {"exports": null} marks a module that failed entirely (did not
+    # parse): importers skip structurally instead of re-checking.
+    if payload["exports"] is not None:
+        _check_names(payload["exports"], _OPTIONAL_STR)
+
+
+def _check_codegen(payload) -> None:
+    _check_names(payload["functions"], _OPTIONAL_STR)
+    _check_names(payload["arities"], int)
+
+
+#: Per-unit check results, keyed by :func:`repro.driver.batch.unit_key`.
+UNIT = CacheTable("unit", "", "unit", _check_unit)
+#: Whole-file results of single-file checks (the no-parse short-circuit);
+#: bare keys like the unit table's, so they share its directory.
+FILE = CacheTable("file", "", "unit", _check_file)
+#: Whole-file results of modules checked inside a project.
+PFILE = CacheTable("pfile", "pfile", "pfile", _check_file)
+#: Module outlines (name, imports, foreign references) per source text.
+OUTLINE = CacheTable("outline", "outline", "outline", _check_outline)
+#: A project module's export map, keyed by its wrapped file key.
+EXPORTS = CacheTable("exports", "exports", "exports", _check_exports)
+#: Generated Python sources per compilation unit.
+CODEGEN = CacheTable("codegen", "codegen", "codegen", _check_codegen,
+                     versioned=True)
+
+CACHE_TABLES = (UNIT, FILE, PFILE, OUTLINE, EXPORTS, CODEGEN)
+
+#: The shard directories, one per key namespace.
+TABLES = tuple(dict.fromkeys(table.directory for table in CACHE_TABLES))
+
+_BARE_DIRECTORY = next(table.directory for table in CACHE_TABLES
+                       if not table.prefix)
+_DIRECTORY = {table.prefix: table.directory for table in CACHE_TABLES
+              if table.prefix and not table.versioned}
+_VERSIONED_DIRECTORY = {table.prefix: table.directory
+                        for table in CACHE_TABLES if table.versioned}
+
+
+def table_of(key: str) -> str:
+    """The shard directory a key belongs to, by its namespace prefix.
+
+    Keys wrapping another key (``exports:pfile:<hex>``) belong to their
+    outermost prefix.  A key whose prefix no table declares raises
+    ``ValueError``: it has nowhere to live.
     """
     head, sep, _ = key.partition(":")
     if not sep:
-        return "unit"
-    if head in ("pfile", "outline", "exports"):
-        return head
-    if head.startswith("codegen") and head[len("codegen"):].isdigit():
-        return "codegen"
-    return "misc"
+        return _BARE_DIRECTORY
+    directory = _DIRECTORY.get(head)
+    if directory is None:
+        stem = head.rstrip("0123456789")
+        if stem != head:
+            directory = _VERSIONED_DIRECTORY.get(stem)
+        if directory is None:
+            raise ValueError(f"cache key {key[:24]!r}… has no declared "
+                             "table")
+    return directory
 
 
 def shard_of(key: str) -> int:
@@ -198,18 +343,14 @@ class HotTier:
         self._shards: "collections.OrderedDict[Tuple[str, str, int], " \
             "Tuple[Dict[str, dict], Dict[str, float]]]" = \
             collections.OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: Tuple[str, str, int]
             ) -> Optional[Tuple[Dict[str, dict], Dict[str, float]]]:
         snapshot = self._shards.get(key)
         if snapshot is None:
-            self.misses += 1
             _REGISTRY.inc("cache.store.hot_misses")
             return None
         self._shards.move_to_end(key)
-        self.hits += 1
         _REGISTRY.inc("cache.store.hot_hits")
         return dict(snapshot[0]), dict(snapshot[1])
 
@@ -239,9 +380,7 @@ class ShardStore:
     in-memory shard views populated on first touch (from the hot tier or
     disk); :meth:`save` persists exactly the dirty shards, merging
     against a fresh disk read per shard so concurrent writers lose
-    nothing.  Instance counters (``shards_read``/``shards_written``/…)
-    mirror the ``cache.store.*`` registry metrics for tests and benches
-    that need per-store numbers.
+    nothing.  Its counters are the ``cache.store.*`` registry metrics.
     """
 
     def __init__(self, root: str, hot: Optional[HotTier] = None) -> None:
@@ -253,8 +392,6 @@ class ShardStore:
         self._dirty: Set[Tuple[str, int]] = set()
         #: Keys served as hits per shard, for the coarse stamp refresh.
         self._probed: Dict[Tuple[str, int], Set[str]] = {}
-        self.shards_read = 0
-        self.shards_written = 0
         self.migrated = False
         if os.path.isfile(self.root):
             self._migrate_legacy_file()
@@ -321,7 +458,6 @@ class ShardStore:
         path = self._shard_path(table, index)
         with _TRACER.span("cache.shard", table=table, shard=index):
             entries, stamps = self._read_shard_file(path)
-        self.shards_read += 1
         _REGISTRY.inc("cache.store.shards_read")
         if entries:
             _REGISTRY.inc("cache.store.entries_loaded", len(entries))
@@ -471,14 +607,13 @@ class ShardStore:
                 "shards": total_shards, "entries": total_entries,
                 "bytes": total_bytes, "tables": tables}
 
-    def verify(self, validator: Optional[
-            Callable[[str, dict], bool]] = None) -> List[str]:
+    def verify(self, check_payloads: bool = False) -> List[str]:
         """Structural problems in the on-disk store (empty list = sound).
 
         Checks every shard file parses with the current schema, every
-        entry sits in the table + shard its key assigns, and — when a
-        ``validator(key, payload) -> bool`` is supplied — that each
-        payload has the shape its namespace promises.
+        key has a declared table and sits in the directory + shard it
+        assigns, and — with ``check_payloads`` — that each payload has
+        the shape some table of that directory promises.
         """
         problems: List[str] = []
         for table, index, path in self._disk_shards():
@@ -500,13 +635,18 @@ class ShardStore:
                 problems.append(f"{path}: entries is not an object")
                 continue
             for key, payload in entries.items():
-                expected = (table_of(key), shard_of(key))
+                try:
+                    expected = (table_of(key), shard_of(key))
+                except ValueError as exc:
+                    problems.append(f"{path}: {exc}")
+                    continue
                 if expected != (table, index):
                     problems.append(
                         f"{path}: key {key[:24]}… belongs in "
                         f"{expected[0]}/{_shard_name(expected[1])}")
-                elif validator is not None \
-                        and not validator(key, payload):
+                elif check_payloads and not any(
+                        declared.accepts(payload) for declared in CACHE_TABLES
+                        if declared.directory == table):
                     problems.append(
                         f"{path}: invalid payload under {key[:24]}…")
         return problems
@@ -613,5 +753,4 @@ class ShardStore:
             except OSError:
                 pass
             raise
-        self.shards_written += 1
         _REGISTRY.inc("cache.store.shards_written")

@@ -1,14 +1,12 @@
 """A single process-wide metrics registry for the whole pipeline.
 
-Before this module existed the pipeline's counters were scattered:
-union-find ops lived on each ``UnifierState``, per-unit hit/miss on
-``CheckStats``, pool reuse on ``Session.pool_stats``, codegen counts on
-``CompiledProgram``, and benchmarks reached into module internals to read
-them.  The :class:`MetricsRegistry` absorbs all of them under namespaced
-metric names (``solver.*``, ``cache.*``, ``cache.store.*`` for the
-sharded on-disk store, ``batch.*``, ``pool.*``, ``codegen.*``,
-``runtime.*``, ``eval.*`` — see docs/OBSERVABILITY.md) and emits one
-machine-readable document via :meth:`MetricsRegistry.snapshot`.
+The registry is the pipeline's one counter store, under namespaced
+metric names (``solver.*``, ``cache.<table>.*`` for each cache table,
+``cache.store.*`` for the sharded on-disk store, ``batch.*``, ``pool.*``,
+``project.*``, ``codegen.*``, ``runtime.*``, ``eval.*`` — see
+docs/OBSERVABILITY.md); :meth:`MetricsRegistry.snapshot` emits them as
+one machine-readable document.  ``CheckStats`` is a per-call report
+bumped alongside these counters, not a second store.
 
 Cost model:
 

@@ -9,6 +9,30 @@ import pytest
 sys.setrecursionlimit(200_000)
 
 
+class _Counts:
+    """Reads telemetry registry counters over a window of the test."""
+
+    def __init__(self):
+        from repro.telemetry import REGISTRY
+
+        self.registry = REGISTRY
+        self.reset()
+
+    def reset(self):
+        """Start a fresh window (zeroes the process-wide registry)."""
+        self.registry.reset()
+
+    def __call__(self, name):
+        return self.registry.counters_with_prefix(name).get(name, 0)
+
+
+@pytest.fixture
+def counts():
+    """``counts("cache.unit.hits")``: a counter's value since the test
+    started or since the last ``counts.reset()``."""
+    return _Counts()
+
+
 @pytest.fixture
 def prelude_env():
     from repro.surface.prelude import prelude_env as make_env

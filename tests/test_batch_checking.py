@@ -13,7 +13,7 @@ Covers the batch-path guarantees the driver makes:
 import os
 import pickle
 
-from repro.driver import DriverOptions, ResultCache, Session
+from repro.driver import CheckStats, DriverOptions, ResultCache, Session
 from repro.driver.batch import (
     cache_key,
     options_fingerprint,
@@ -21,6 +21,7 @@ from repro.driver.batch import (
     result_from_payload,
     result_to_payload,
 )
+from repro.driver.store import UNIT
 from repro.__main__ import main
 
 
@@ -104,13 +105,13 @@ class TestSharding:
         results = Session().check_many(corpus, jobs=8)
         assert [r.ok for r in results] == [True, True]
 
-    def test_duplicate_sources_check_once(self, tmp_path):
+    def test_duplicate_sources_check_once(self, tmp_path, counts):
         source = "v :: Int\nv = 1 + 2\n"
         corpus = [("a.lev", source), ("b.lev", source), ("c.lev", source)]
         cache = ResultCache(str(tmp_path / "cache.json"))
         results = Session().check_many(corpus, jobs=2, cache=cache)
         # One check, one store; every caller still gets its own filename.
-        assert cache.stores == 1
+        assert counts("cache.unit.stores") == 1
         assert [r.filename for r in results] == ["a.lev", "b.lev", "c.lev"]
         assert all(r.ok for r in results)
         for result in results:
@@ -119,24 +120,28 @@ class TestSharding:
 
 
 class TestIncrementalCache:
-    def test_cache_hits_are_byte_identical(self, tmp_path):
+    def test_cache_hits_are_byte_identical(self, tmp_path, counts):
         corpus = make_corpus(5)
         path = str(tmp_path / "cache.json")
         session = Session()
         cold = session.check_many(corpus, cache=path)
+        counts.reset()
         warm_cache = ResultCache(path)
         warm = session.check_many(corpus, cache=warm_cache)
         # Unchanged files short-circuit on their whole-file entry; the
         # unit layer is never consulted.
-        assert warm_cache.file_hits == len(corpus)
-        assert warm_cache.hits == 0 and warm_cache.misses == 0
+        assert counts("cache.file.hits") == len(corpus)
+        assert counts("cache.unit.hits") == 0
+        assert counts("cache.unit.misses") == 0
         assert [payload_bytes(result_to_payload(r)) for r in cold] == \
             [payload_bytes(result_to_payload(r)) for r in warm]
 
-    def test_editing_one_binding_invalidates_exactly_one_unit(self, tmp_path):
+    def test_editing_one_binding_invalidates_exactly_one_unit(self, tmp_path,
+                                                              counts):
         corpus = make_corpus(6)
         path = str(tmp_path / "cache.json")
         Session().check_many(corpus, cache=path)
+        counts.reset()
         filename, source = corpus[4]
         # Edit the body of 'main' in one program: only that binding's unit
         # misses — the sibling 'add4' and every other program stay hits.
@@ -145,8 +150,9 @@ class TestIncrementalCache:
         results = Session().check_many(corpus, cache=cache)
         # The edited file drops to the unit layer: its 'main' misses, its
         # untouched 'add4' unit hits; every other file short-circuits.
-        assert cache.file_hits == len(corpus) - 1
-        assert cache.misses == 1 and cache.hits == 1
+        assert counts("cache.file.hits") == len(corpus) - 1
+        assert counts("cache.unit.misses") == 1
+        assert counts("cache.unit.hits") == 1
         assert all(r.ok for r in results)
 
     def test_renamed_file_reuses_cached_result_with_new_name(self, tmp_path):
@@ -155,18 +161,20 @@ class TestIncrementalCache:
         Session().check_many(corpus, cache=path)
         renamed = [(f"renamed_{i}.lev", source)
                    for i, (_, source) in enumerate(corpus)]
-        cache = ResultCache(path)
-        results = Session().check_many(renamed, cache=cache)
-        assert cache.file_hits == 3   # keys never include the filename
+        stats = CheckStats()
+        results = Session().check_many(renamed, cache=ResultCache(path),
+                                       stats=stats)
+        assert stats.file_hits == 3   # keys never include the filename
         assert [r.filename for r in results] == [fn for fn, _ in renamed]
 
     def test_failing_results_are_cached_too(self, tmp_path):
         corpus = [("bad.lev", "x = mystery\n")]
         path = str(tmp_path / "cache.json")
         cold = Session().check_many(corpus, cache=path)
-        cache = ResultCache(path)
-        warm = Session().check_many(corpus, cache=cache)
-        assert cache.file_hits == 1
+        stats = CheckStats()
+        warm = Session().check_many(corpus, cache=ResultCache(path),
+                                    stats=stats)
+        assert stats.file_hits == 1
         assert not warm[0].ok
         assert [d.pretty() for d in warm[0].diagnostics] == \
             [d.pretty() for d in cold[0].diagnostics]
@@ -189,7 +197,7 @@ class TestIncrementalCache:
         reloaded = ResultCache(path)
         assert len(reloaded.entries) == 2 * UNITS_PER_PROGRAM + 2
 
-    def test_malformed_cache_entry_is_a_miss(self, tmp_path):
+    def test_malformed_cache_entry_is_a_miss(self, tmp_path, counts):
         corpus = make_corpus(2)
         path = str(tmp_path / "cache.json")
         Session().check_many(corpus, cache=path)
@@ -206,30 +214,35 @@ class TestIncrementalCache:
                     entries[key] = {}
 
         _rewrite_entries(path, truncate)
+        counts.reset()
         cache = ResultCache(path)
         results = Session().check_many(corpus, cache=cache)
         assert all(r.ok for r in results)
         # The counters are truthful: the bad unit entry counted as a miss.
-        assert cache.file_hits == 0
-        assert cache.hits == 2 * UNITS_PER_PROGRAM - 1
-        assert cache.misses == 1
+        assert counts("cache.file.hits") == 0
+        assert counts("cache.file.invalid") == len(corpus)
+        assert counts("cache.unit.hits") == 2 * UNITS_PER_PROGRAM - 1
+        assert counts("cache.unit.misses") == 1
+        assert counts("cache.unit.invalid") == 1
         # The re-check repaired the entries.
         repaired = ResultCache(path)
         assert repaired.entries[corrupted] != {}
         assert all(value != {} for value in repaired.entries.values())
 
-    def test_run_only_options_do_not_invalidate_the_cache(self, tmp_path):
+    def test_run_only_options_do_not_invalidate_the_cache(self, tmp_path,
+                                                          counts):
         # max_machine_steps never affects Pipeline.check, so changing it
         # must not cold-start the check cache.
         corpus = make_corpus(3)
         path = str(tmp_path / "cache.json")
         Session(DriverOptions(max_machine_steps=1_000_000)).check_many(
             corpus, cache=path)
+        counts.reset()
         cache = ResultCache(path)
         Session(DriverOptions(max_machine_steps=5)).check_many(
             corpus, cache=cache)
-        assert cache.file_hits == 3
-        assert cache.misses == 0
+        assert counts("cache.file.hits") == 3
+        assert counts("cache.unit.misses") == 0
 
 
 class TestPayloads:
@@ -298,31 +311,37 @@ lone = 7#
 
 
 class TestBindingLevelInvalidation:
-    def test_editing_one_binding_rechecks_only_its_dependents(self, tmp_path):
+    def test_editing_one_binding_rechecks_only_its_dependents(self, tmp_path,
+                                                              counts):
         path = str(tmp_path / "cache.json")
         Session().check_many([("dep.lev", DEP_MODULE)], cache=path)
         # Change mid's *scheme* (Int# -> Int): top must re-check, but
         # 'base' and 'lone' stay hits.
         edited = DEP_MODULE.replace("mid = base 1#", "mid = 5")
+        counts.reset()
         cache = ResultCache(path)
         results = Session().check_many([("dep.lev", edited)], cache=cache)
-        assert cache.misses == 2          # mid + its dependent top
-        assert cache.hits == 2            # base, lone untouched
+        assert counts("cache.unit.misses") == 2   # mid + its dependent top
+        assert counts("cache.unit.hits") == 2     # base, lone untouched
         assert not results[0].ok          # top now misuses a boxed Int
 
-    def test_early_cutoff_when_the_scheme_is_unchanged(self, tmp_path):
+    def test_early_cutoff_when_the_scheme_is_unchanged(self, tmp_path,
+                                                       counts):
         path = str(tmp_path / "cache.json")
         Session().check_many([("dep.lev", DEP_MODULE)], cache=path)
         # Edit base's *body* without changing its scheme: only base itself
         # re-checks — its dependents' keys (source + dep schemes) are
         # unchanged, so they hit.
         edited = DEP_MODULE.replace("x +# 1#", "x +# 2#")
+        counts.reset()
         cache = ResultCache(path)
         results = Session().check_many([("dep.lev", edited)], cache=cache)
-        assert cache.misses == 1 and cache.hits == 3
+        assert counts("cache.unit.misses") == 1
+        assert counts("cache.unit.hits") == 3
         assert results[0].ok
 
-    def test_moved_binding_is_still_a_hit_with_rebased_spans(self, tmp_path):
+    def test_moved_binding_is_still_a_hit_with_rebased_spans(self, tmp_path,
+                                                             counts):
         path = str(tmp_path / "cache.json")
         bad_tail = "tail' :: Int\ntail' = stillMissing\n"
         source = "head' :: Int#\nhead' = 1#\n" + bad_tail
@@ -331,9 +350,11 @@ class TestBindingLevelInvalidation:
         # moves down but its unit text is unchanged — a cache hit whose
         # diagnostic span must be re-based to the new absolute line.
         grown = ("head' :: Int#\nhead' =\n  1#\n    +# 1#\n" + bad_tail)
+        counts.reset()
         cache = ResultCache(path)
         results = Session().check_many([("move.lev", grown)], cache=cache)
-        assert cache.hits == 1 and cache.misses == 1  # head' changed
+        assert counts("cache.unit.hits") == 1
+        assert counts("cache.unit.misses") == 1  # head' changed
         [diagnostic] = results[0].errors
         assert diagnostic.binding == "tail'"
         expected_line = grown.split("\n").index("tail' = stillMissing") + 1
@@ -438,7 +459,7 @@ class TestAtomicCache:
         Session().check_many(make_corpus(1), cache=path)
         before = _shard_files(path)
         cache = ResultCache(path)
-        cache.store("deadbeef", {"members": []})
+        cache.put(UNIT, "deadbeef", {"members": []})
 
         def explode(*args, **kwargs):
             raise RuntimeError("disk full")
@@ -457,21 +478,23 @@ class TestAtomicCache:
                      if ".repro-shard-" in name]
         assert leftovers == []
 
-    def test_save_is_a_noop_when_nothing_changed(self, tmp_path):
+    def test_save_is_a_noop_when_nothing_changed(self, tmp_path, counts):
         path = str(tmp_path / "cache.json")
         Session().check_many(make_corpus(1), cache=path)
         before = _shard_files(path)
+        counts.reset()
         warm = ResultCache(path)
         Session().check_many(make_corpus(1), cache=warm)  # all hits
         # Per-shard dirty tracking: a no-op run neither rewrites any
         # shard file nor even loads the ones it never probed.
-        assert warm.shards_written == 0
-        assert warm.shards_read < len(before)
+        assert counts("cache.store.shards_written") == 0
+        assert counts("cache.store.shards_read") < len(before)
         assert _shard_files(path) == before
 
 
 class TestReviewRegressions:
-    def test_unit_entry_missing_fields_is_a_miss_not_a_crash(self, tmp_path):
+    def test_unit_entry_missing_fields_is_a_miss_not_a_crash(self, tmp_path,
+                                                             counts):
         """A truncated unit entry (span/scheme_src stripped) must degrade
         to a cache miss, never a KeyError during assembly."""
         path = str(tmp_path / "cache.json")
@@ -488,11 +511,13 @@ class TestReviewRegressions:
                     entries[key] = {}  # drop the file short-circuit
 
         _rewrite_entries(path, truncate)
+        counts.reset()
         cache = ResultCache(path)
         results = Session().check_many([("dep.lev", DEP_MODULE)],
                                        cache=cache)
         assert results[0].ok
-        assert cache.hits == 0 and cache.misses == 4
+        assert counts("cache.unit.hits") == 0
+        assert counts("cache.unit.misses") == 4
 
     def test_duplicate_identical_bindings_keep_their_own_spans(self):
         # Two textually identical failing bindings: each diagnostic must

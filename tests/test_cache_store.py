@@ -28,7 +28,10 @@ from repro.driver import DriverOptions, HotTier, ResultCache, Session
 from repro.driver.batch import CheckStats, canonical_scheme
 from repro.driver.store import (
     CACHE_SCHEMA,
+    CACHE_TABLES,
     SHARD_COUNT,
+    TABLES,
+    UNIT,
     ShardStore,
     shard_of,
     table_of,
@@ -60,8 +63,7 @@ class TestKeyAssignment:
         assert table_of(f"exports:pfile:{hex64}") == "exports"
         assert table_of(f"codegen1:{hex64}") == "codegen"
         assert table_of(f"codegen12:{hex64}") == "codegen"
-        assert table_of(f"codegenx:{hex64}") == "misc"
-        assert table_of(f"future:{hex64}") == "misc"
+        assert TABLES == ("unit", "pfile", "outline", "exports", "codegen")
 
     def test_shard_of_uses_the_trailing_digest(self):
         hex64 = "7f" + "0" * 62
@@ -70,17 +72,54 @@ class TestKeyAssignment:
         assert shard_of(f"exports:pfile:{hex64}") == 0x7F
         assert shard_of(f"codegen1:{hex64}") == 0x7F
 
-    @given(st.text(min_size=1, max_size=80))
+    @given(st.sampled_from(CACHE_TABLES),
+           st.from_regex(r"\A[0-9a-f]{64}\Z"),
+           st.integers(0, 99),
+           st.sampled_from(CACHE_TABLES))
     @settings(max_examples=200, deadline=None)
-    def test_assignment_is_total_and_stable(self, key):
-        # Any key — even junk — lands in exactly one (table, shard), and
-        # the assignment is a pure function of the key.
-        table = table_of(key)
+    def test_assignment_is_total_and_stable(self, table, digest, version,
+                                            wrapper):
+        # Every key a declared table mints — bare, versioned, or (under
+        # a prefix) wrapping another table's key — lands in exactly its
+        # table's directory and one shard, as a pure function of the key.
+        inner = digest
+        if table.prefix:
+            inner = wrapper.key(digest, version if wrapper.versioned else "")
+        key = table.key(inner, version if table.versioned else "")
+        assert table_of(key) == table.directory
         index = shard_of(key)
-        assert table in ("unit", "pfile", "outline", "exports", "codegen",
-                         "misc")
-        assert 0 <= index < SHARD_COUNT
-        assert (table_of(key), shard_of(key)) == (table, index)
+        assert index == int(digest[:2], 16) % SHARD_COUNT
+        assert (table_of(key), shard_of(key)) == (table.directory, index)
+
+    def test_undeclared_prefix_is_rejected_and_reported(self, tmp_path):
+        hex64 = "ab" * 32
+        for key in (f"future:{hex64}", f"codegenx:{hex64}",
+                    f"codegen:{hex64}", f":{hex64}"):
+            try:
+                table_of(key)
+            except ValueError:
+                continue
+            raise AssertionError(f"{key} was assigned a table")
+        root = str(tmp_path / "c")
+        cache = ResultCache(root)
+        try:
+            cache.put(UNIT, f"future:{hex64}", {"members": []})
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("put accepted an undeclared prefix")
+        # A hand-edited shard smuggling such a key in is reported.
+        cache.put(UNIT, hex64, {"members": []})
+        cache.save()
+        shard = os.path.join(root, "unit", "ab.json")
+        with open(shard, encoding="utf-8") as handle:
+            document = json.load(handle)
+        document["entries"][f"future:{hex64}"] = {"members": []}
+        with open(shard, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        [problem] = ShardStore(root).verify()
+        assert "future:" in problem and "no declared table" in problem
+        assert main(["cache", "verify", root]) == 1
 
 
 # JSON-able payloads: the value space cache entries live in.
@@ -140,18 +179,19 @@ class TestDirtyTracking:
         assert warm.put(key, {"v": 1}) is False
         assert warm.save() == 0
 
-    def test_single_store_writes_a_single_shard(self, tmp_path):
+    def test_single_store_writes_a_single_shard(self, tmp_path, counts):
         root = str(tmp_path / "c")
         seed = ShardStore(root)
         for byte in range(8):
             seed.put(f"{byte:02x}" + "0" * 62, {"v": byte})
         seed.save()
+        counts.reset()
         editor = ShardStore(root)
         editor.put("05" + "0" * 62, {"v": "edited"})
         assert editor.save() == 1
-        assert editor.shards_written == 1
+        assert counts("cache.store.shards_written") == 1
 
-    def test_warm_noop_reads_only_probed_shards(self, tmp_path):
+    def test_warm_noop_reads_only_probed_shards(self, tmp_path, counts):
         # The O(touched) property at the checking level: a warm no-op
         # check against a cache padded with entries in many shards reads
         # only the shard(s) it probes.
@@ -161,12 +201,14 @@ class TestDirtyTracking:
         for byte in range(64):
             pad.put(f"{byte:02x}" + "f" * 62, {"pad": byte})
         pad.save()
+        counts.reset()
         warm = ResultCache(root)
         stats = CheckStats()
         Session().check_many([("m.lev", MODULE)], cache=warm, stats=stats)
         assert stats.file_hits == 1
-        assert warm.shards_read == 1     # the file-level entry's shard
-        assert warm.shards_written == 0
+        # The file-level entry's shard only.
+        assert counts("cache.store.shards_read") == 1
+        assert counts("cache.store.shards_written") == 0
 
 
 def _writer_main(root, tag, count, barrier):
@@ -243,22 +285,26 @@ class TestConcurrency:
 
 
 class TestHotTier:
-    def test_repeat_reads_skip_disk(self, tmp_path):
+    def test_repeat_reads_skip_disk(self, tmp_path, counts):
         root = str(tmp_path / "c")
         seed = ShardStore(root)
         key = "dd" + "0" * 62
         seed.put(key, {"v": 1})
         seed.save()
         hot = HotTier()
+        counts.reset()
         first = ShardStore(root, hot=hot)
         assert first.get(key) == {"v": 1}
-        assert first.shards_read == 1
+        assert counts("cache.store.shards_read") == 1
+        counts.reset()
         second = ShardStore(root, hot=hot)
         assert second.get(key) == {"v": 1}
-        assert second.shards_read == 0  # served from the tier
-        assert hot.hits == 1
+        # Served from the tier.
+        assert counts("cache.store.shards_read") == 0
+        assert counts("cache.store.hot_hits") == 1
 
-    def test_unsaved_writes_do_not_leak_through_the_tier(self, tmp_path):
+    def test_unsaved_writes_do_not_leak_through_the_tier(self, tmp_path,
+                                                         counts):
         root = str(tmp_path / "c")
         hot = HotTier()
         key = "ee" + "0" * 62
@@ -267,9 +313,11 @@ class TestHotTier:
         reader = ShardStore(root, hot=hot)
         assert reader.get(key) is None  # the tier reflects disk only
         writer.save()
+        counts.reset()
         late = ShardStore(root, hot=hot)
         assert late.get(key) == {"v": "unsaved"}
-        assert late.shards_read == 0    # save refreshed the tier
+        # Save refreshed the tier.
+        assert counts("cache.store.shards_read") == 0
 
     def test_lru_bound_holds(self):
         hot = HotTier(max_shards=2)
@@ -277,16 +325,16 @@ class TestHotTier:
             hot.put(("r", "unit", index), {}, {})
         assert len(hot) == 2
 
-    def test_session_shares_one_tier_across_calls(self, tmp_path):
+    def test_session_shares_one_tier_across_calls(self, tmp_path, counts):
         root = str(tmp_path / "c")
         session = Session()
         session.check_many([("m.lev", MODULE)], cache=root)
-        tier = session.store_hot_tier()
-        baseline = tier.hits
+        counts.reset()
         stats = CheckStats()
         session.check_many([("m.lev", MODULE)], cache=root, stats=stats)
         assert stats.file_hits == 1
-        assert tier.hits > baseline  # the warm call read shards from memory
+        # The warm call read shards from memory.
+        assert counts("cache.store.hot_hits") > 0
 
 
 class TestMigration:

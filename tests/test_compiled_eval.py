@@ -219,20 +219,21 @@ main = twice 40#
 
 
 class TestCodegenCache:
-    def test_round_trip_skips_codegen(self, tmp_path):
+    def test_round_trip_skips_codegen(self, tmp_path, counts):
         path = str(tmp_path / "cache.json")
         options = DriverOptions(compiled=True)
         cold = Session(options).run(CACHED_SOURCE, "cache.lev", cache=path)
         assert cold.ok and cold.value == "42#"
         assert cold.codegen_compiled == 3 and cold.codegen_cached == 0
 
+        counts.reset()
         cache = ResultCache(path)
         warm = Session(options).run(CACHED_SOURCE, "cache.lev", cache=cache)
         assert warm.ok and warm.value == cold.value
         assert warm.codegen_compiled == 0, \
             "warm run re-generated code the cache should have served"
         assert warm.codegen_cached == 3
-        assert cache.codegen_hits == 3
+        assert counts("cache.codegen.hits") == 3
         assert "codegen: 0 function(s) compiled, 3 cached" in warm.pretty()
 
     def test_keys_are_versioned(self, tmp_path):

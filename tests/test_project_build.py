@@ -369,6 +369,24 @@ class TestRunAndDiscovery:
         modules = {entry["module"] for entry in document["modules"]}
         assert modules == {"Nat", "Box", "World", "Main"}
 
+    def test_stats_json_counts_rejected_modules_once(self, tmp_path,
+                                                      capsys, counts):
+        # A <-> B is an import cycle (both rejected unchecked), C stands
+        # alone: the per-call report and the registry must both count
+        # all three input files.
+        from repro.__main__ import main
+
+        (tmp_path / "a.lev").write_text(
+            "module A where\nimport B\n\nx :: Int\nx = 1\n")
+        (tmp_path / "b.lev").write_text(
+            "module B where\nimport A\n\ny :: Int\ny = 2\n")
+        (tmp_path / "c.lev").write_text(
+            "module C where\n\nz :: Int\nz = 3\n")
+        assert main(["build", str(tmp_path), "--stats", "--json"]) == 1
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["check"]["files"] == 3
+        assert stats["metrics"]["counters"]["batch.files"] == 3
+
     def test_project_spans_traced(self):
         TRACER.enable()
         try:

@@ -1,8 +1,8 @@
 """Lifecycle tests for the session-owned persistent worker pool (ISSUE 6).
 
 ``Session`` owns at most one lazily-spawned ``ProcessPoolExecutor`` and
-reuses it across ``check_many`` calls; ``pool_stats`` makes every
-decision observable.  The scheduling policy (``REPRO_PARALLEL`` ∈
+reuses it across ``check_many`` calls; the registry's ``pool.*``
+counters make every decision observable.  The scheduling policy (``REPRO_PARALLEL`` ∈
 auto/always/never plus the serial cutoff) decides per batch whether the
 pool is used at all, and a pool that cannot spawn or breaks mid-batch
 degrades to in-process checking without losing results.
@@ -38,7 +38,7 @@ def _payloads(results):
 
 
 class TestPoolLifecycle:
-    def test_pool_reused_across_batches(self, monkeypatch):
+    def test_pool_reused_across_batches(self, monkeypatch, counts):
         monkeypatch.setenv(PARALLEL_MODE_ENV, "always")
         corpus = make_corpus()
         serial = Session().check_many(corpus)
@@ -46,14 +46,15 @@ class TestPoolLifecycle:
         with Session() as session:
             first = session.check_many(corpus, jobs=2)
             second = session.check_many(corpus, jobs=2)
-            assert session.pool_stats["pools_created"] == 1
-            assert session.pool_stats["pools_reused"] == 1
-            assert session.pool_stats["parallel_batches"] == 2
+            assert counts("pool.pools_created") == 1
+            assert counts("pool.pools_reused") == 1
+            assert counts("pool.parallel_batches") == 2
             assert _payloads(first) == _payloads(second) == _payloads(serial)
             assert session._pool is not None
         assert session._pool is None  # __exit__ closed it
 
-    def test_close_is_idempotent_and_session_survives(self, monkeypatch):
+    def test_close_is_idempotent_and_session_survives(self, monkeypatch,
+                                                      counts):
         monkeypatch.setenv(PARALLEL_MODE_ENV, "always")
         corpus = make_corpus(6)
         session = Session()
@@ -64,7 +65,7 @@ class TestPoolLifecycle:
         # The session is still usable; the next batch respawns the pool.
         results = session.check_many(corpus, jobs=2)
         assert all(result.ok for result in results)
-        assert session.pool_stats["pools_created"] == 2
+        assert counts("pool.pools_created") == 2
         session.close()
 
     def test_gc_shuts_down_the_pool(self):
@@ -75,7 +76,7 @@ class TestPoolLifecycle:
         with pytest.raises(RuntimeError):
             executor.submit(len, ())
 
-    def test_pool_replaced_when_grown_or_options_change(self):
+    def test_pool_replaced_when_grown_or_options_change(self, counts):
         session = Session()
         pool = session.acquire_pool(2)
         assert session.acquire_pool(2) is pool  # same size, same options
@@ -84,11 +85,11 @@ class TestPoolLifecycle:
         assert grown is not pool
         other = session.acquire_pool(4, DriverOptions(compiled=True))
         assert other is not grown
-        assert session.pool_stats["pools_created"] == 3
-        assert session.pool_stats["pools_reused"] == 2
+        assert counts("pool.pools_created") == 3
+        assert counts("pool.pools_reused") == 2
         session.close()
 
-    def test_broken_pool_falls_back_to_serial(self, monkeypatch):
+    def test_broken_pool_falls_back_to_serial(self, monkeypatch, counts):
         monkeypatch.setenv(PARALLEL_MODE_ENV, "always")
         corpus = make_corpus(6)
         serial = Session().check_many(corpus)
@@ -100,16 +101,16 @@ class TestPoolLifecycle:
         monkeypatch.setattr(session, "acquire_pool", refuse)
         results = session.check_many(corpus, jobs=2)
         assert _payloads(results) == _payloads(serial)
-        assert session.pool_stats["serial_batches"] == 1
-        assert session.pool_stats["parallel_batches"] == 0
+        assert counts("pool.serial_batches") == 1
+        assert counts("pool.parallel_batches") == 0
         assert session._pool is None
 
-    def test_never_mode_stays_in_process(self, monkeypatch):
+    def test_never_mode_stays_in_process(self, monkeypatch, counts):
         monkeypatch.setenv(PARALLEL_MODE_ENV, "never")
         session = Session()
         results = session.check_many(make_corpus(6), jobs=4)
         assert all(result.ok for result in results)
-        assert session.pool_stats["serial_batches"] == 1
+        assert counts("pool.serial_batches") == 1
         assert session._pool is None
 
 
