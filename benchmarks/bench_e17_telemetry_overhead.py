@@ -119,8 +119,8 @@ def test_report_telemetry_overhead():
     assert counters.get("runtime.trampoline_bounces", 0) > 0, \
         "enabled run should have metered the compiled trampoline"
 
-    from benchreport import _load_baseline, BASELINE_JSON_PATH
-    baseline = (_load_baseline(BASELINE_JSON_PATH) or {}).get("timings", {})
+    from benchreport import _load_json, BASELINE_JSON_PATH
+    baseline = (_load_json(BASELINE_JSON_PATH) or {}).get("timings", {})
 
     rows = []
     for name in workloads:

@@ -6,9 +6,9 @@ Two layers:
 * :func:`emit` — the original human-readable aligned table, unchanged.
 * :func:`record_timing` / :func:`time_op` / :func:`record_counter` — collect
   ``time.perf_counter`` wall-clock timings and solver op counters into a
-  process-global registry.  ``benchmarks/conftest.py`` flushes the registry
-  to ``BENCH_perf.json`` at the end of the pytest session via
-  :func:`write_perf_json`.
+  process-global registry.  ``benchmarks/conftest.py`` merges the registry
+  into ``BENCH_perf.json`` at the end of the pytest session via
+  :func:`write_perf_json`, so a partial run keeps the other keys.
 
 Speedups are reported two ways:
 
@@ -117,7 +117,7 @@ def time_op(key, fn, *args, repeats=3, meta=None):
     return result
 
 
-def _load_baseline(path):
+def _load_json(path):
     try:
         with open(path) as handle:
             return json.load(handle)
@@ -158,26 +158,34 @@ def _baseline_speedups(timings, baseline):
 
 
 def write_perf_json(path=PERF_JSON_PATH, baseline_path=BASELINE_JSON_PATH):
-    """Flush the registry to ``path``; returns the report dict (or None).
+    """Merge the registry into ``path``; returns the report dict (or None).
 
     Called by ``benchmarks/conftest.py`` at session end.  No-op when nothing
-    was recorded (e.g. a test run that deselected the benchmarks).
+    was recorded (e.g. a test run that deselected the benchmarks).  Keys this
+    run recorded replace their entries in the file and every other key
+    stays, so running one benchmark file does not wipe the others' results;
+    ``speedups`` and ``vs_baseline`` are recomputed over the merged timings.
     """
     if not _TIMINGS and not _COUNTERS:
         return None
+    previous = _load_json(path)
+    if not isinstance(previous, dict) or previous.get("schema") != 1:
+        previous = {}
+    timings = {**previous.get("timings", {}), **_TIMINGS}
+    counters = {**previous.get("counters", {}), **_COUNTERS}
     report = {
         "schema": 1,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "timings": dict(sorted(_TIMINGS.items())),
-        "counters": dict(sorted(_COUNTERS.items())),
-        "speedups": _pair_speedups(_TIMINGS),
+        "timings": dict(sorted(timings.items())),
+        "counters": dict(sorted(counters.items())),
+        "speedups": _pair_speedups(timings),
     }
-    baseline = _load_baseline(baseline_path)
+    baseline = _load_json(baseline_path)
     if baseline is not None:
         report["baseline_file"] = os.path.relpath(baseline_path, _REPO_ROOT)
-        report["vs_baseline"] = _baseline_speedups(_TIMINGS, baseline)
+        report["vs_baseline"] = _baseline_speedups(timings, baseline)
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
         handle.write("\n")

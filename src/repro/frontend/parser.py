@@ -267,6 +267,10 @@ class Parser:
         self.filename = filename
         self.source = source
         self.tokens = tokenize(source, filename)
+        # Two extra references to the eof token let _peek index without a
+        # bounds check: lookahead never goes past offset 2, and _next never
+        # moves past eof.
+        self.tokens += [self.tokens[-1]] * 2
         self.pos = 0
         self.scope = _TypeScope()
         self.expr_spans: Dict[int, Span] = {}
@@ -274,8 +278,7 @@ class Parser:
     # -- token plumbing ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + offset]
 
     def _next(self) -> Token:
         token = self._peek()

@@ -1,5 +1,9 @@
 """Unit tests for the concrete-syntax frontend (lexer + parser)."""
 
+import pickle
+import sys
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.core.errors import ParseError
@@ -12,8 +16,14 @@ from repro.core.kinds import (
     TypeKind,
 )
 from repro.core.rep import DOUBLE_REP, INT_REP, RepVar, SumRep, TupleRep
-from repro.frontend import parse_expr, parse_module, parse_scheme, parse_type
-from repro.frontend.lexer import tokenize
+from repro.frontend import (
+    Parser,
+    parse_expr,
+    parse_module,
+    parse_scheme,
+    parse_type,
+)
+from repro.frontend.lexer import Span, Token, tokenize
 from repro.surface.ast import (
     EAnn,
     EApp,
@@ -77,6 +87,13 @@ class TestLexer:
     def test_operator_section_is_not_lhash(self):
         # '(' directly followed by a symbolic operator must stay a paren.
         assert kinds_of("(+#)") == ["lparen", "symbol", "rparen", "eof"]
+        assert kinds_of("(#.)") == ["lparen", "symbol", "rparen", "eof"]
+
+    def test_parser_lookahead_past_the_end_is_eof(self):
+        parser = Parser("x")
+        parser._next()
+        assert [parser._peek(offset).kind for offset in range(3)] == [
+            "eof", "eof", "eof"]
 
     def test_comments(self):
         assert kinds_of("x -- trailing\n{- block {- nested -} -} y") == [
@@ -95,6 +112,100 @@ class TestLexer:
     def test_unterminated_string(self):
         with pytest.raises(ParseError):
             tokenize('"oops')
+
+
+#: Every lexer diagnostic, pinned: (source, message, line, column).
+LEXER_ERRORS = [
+    ('x = "oops', "unterminated string literal", 1, 5),
+    ('x = "ab\ncd"', "unterminated string literal", 1, 5),
+    ("c = 'a", "unterminated character literal", 1, 5),
+    ("c = 'ab'", "unterminated character literal", 1, 5),
+    ("c =\n  ''", "unterminated character literal", 2, 3),
+    ("c = '\\nx'", "unterminated character literal", 1, 5),
+    ("x = {- open {- nested -}", "unterminated block comment", 1, 5),
+    ("-- note\n\n  {- a\n{- b -}", "unterminated block comment", 3, 3),
+    ('s = "a\\qb"', "unknown escape \\q", 1, 9),
+    ("c = '\\q'", "unknown escape \\q", 1, 8),
+    ('s = "a\\\nb"', "unknown escape \\\n", 2, 1),
+    ('s = "\\', "unknown escape \\", 1, 7),
+    ("x = 2.5", "unsupported literal '2.5': boxed fractional literals are "
+     "not in the surface language (use e.g. 2.5##)", 1, 5),
+    ("x = 2.5#", "malformed literal '2.5#': a fractional literal needs two "
+     "trailing hashes (Double#)", 1, 5),
+    ("x = 1 § 2", "unexpected character '§'", 1, 7),
+    ("x = ²x", "unexpected character '²'", 1, 5),
+    ("f x =\n  x\t٣", "unexpected character '٣'", 2, 5),
+]
+
+
+@pytest.mark.parametrize("source,message,line,column", LEXER_ERRORS)
+def test_lexer_diagnostics_are_pinned(source, message, line, column):
+    with pytest.raises(ParseError) as info:
+        tokenize(source)
+    assert (str(info.value), info.value.line, info.value.column) == (
+        f"{line}:{column}: {message}", line, column)
+
+
+class TestLexerValues:
+    """Span and Token behave as frozen values."""
+
+    def test_equality_hash_and_repr(self):
+        span = Span(1, 2, 1, 5)
+        assert span == Span(1, 2, 1, 5) and span != Span(1, 2, 1, 6)
+        assert span != (1, 2, 1, 5)
+        assert hash(span) == hash((1, 2, 1, 5))
+        assert repr(span) == "Span(1:2-1:5)"
+        token = tokenize("  abc")[0]
+        same = Token("varid", "abc", "abc", Span(1, 3, 1, 6))
+        assert token == same and len({token, same}) == 1
+        assert repr(token) == "Token(varid, 'abc', 1:3)"
+
+    def test_immutable_and_picklable(self):
+        token = tokenize("x")[0]
+        with pytest.raises(FrozenInstanceError):
+            token.kind = "conid"
+        with pytest.raises(FrozenInstanceError):
+            del token.span.line
+        assert pickle.loads(pickle.dumps(token)) == token
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run at the interpreter's default limit, as ``python -m repro`` does
+    (conftest raises it for the recursive evaluators)."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestLexerPathologicalShapes:
+    def test_long_trivia_run_then_illegal_character(self):
+        chunk = "  \t-- a comment line\n\n"
+        copies = 100_000 // len(chunk) + 1
+        with pytest.raises(ParseError) as info:
+            tokenize(chunk * copies + "  §")
+        assert (info.value.line, info.value.column) == (2 * copies + 1, 3)
+
+    def test_deeply_nested_block_comment(self):
+        depth = 10_000
+        tokens = tokenize("{-" * depth + "x\n" + "-}" * depth + " y")
+        assert [(t.kind, t.span) for t in tokens] == [
+            ("varid", Span(2, 2 * depth + 2, 2, 2 * depth + 3)),
+            ("eof", Span(2, 2 * depth + 3, 2, 2 * depth + 3))]
+        with pytest.raises(ParseError) as info:
+            tokenize("a\n  " + "{-" * depth + "-}" * (depth - 1))
+        assert str(info.value) == "2:3: unterminated block comment"
+
+    def test_long_identifier(self):
+        name = "x" * 100_000
+        tokens = tokenize(f"f = {name}#\n")
+        assert tokens[2] == Token("varid", name + "#", name + "#",
+                                  Span(1, 5, 1, 100_006))
+        assert tokens[3].span == Span(2, 1, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ Satellites of the frontend PR:
   alpha-renaming — the parser re-quantifies hidden binders in occurrence
   order, so the comparison canonicalises binder names first;
 * lexer/parser fuzzing: arbitrary input either parses or raises
-  :class:`~repro.core.errors.ParseError` — never anything else.
+  :class:`~repro.core.errors.ParseError` — never anything else;
+* the lexer oracle: :func:`~repro.frontend.lexer.tokenize` agrees token for
+  token, or diagnostic for diagnostic, with the character-at-a-time lexer
+  kept in ``reference_lexer.py``, and ``split_decl_blocks`` starts a block
+  exactly on the lines whose first token is in column 1.
 
 Extended by the fuzzing PR with **expression-level** round-trips
 (``parse_expr(expr.pretty()) == expr``) over the whole expression grammar,
@@ -22,13 +26,16 @@ application spots the operator table can recover.
 import string as string_module
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ParseError
 from repro.core.kinds import TYPE_LIFTED, TypeKind
 from repro.core.rep import RepVar
 from repro.frontend import parse_expr, parse_module, parse_scheme, parse_type
+from repro.frontend.lexer import tokenize
+from repro.frontend.parser import split_decl_blocks
+from repro.fuzz import generate_program
 from repro.infer.schemes import Scheme
 from repro.pretty.printer import (
     PrinterOptions,
@@ -69,6 +76,8 @@ from repro.surface.types import (
     TyVar,
     UnboxedTupleTy,
 )
+
+from reference_lexer import reference_tokenize
 
 EXPLICIT = PrinterOptions(print_explicit_runtime_reps=True)
 
@@ -405,3 +414,65 @@ class TestFuzz:
         source = f"f :: {render_scheme(scheme, EXPLICIT)}\n"
         parsed = parse_module(source)
         assert "f" in parsed.module.signatures()
+
+
+# ---------------------------------------------------------------------------
+# The lexer against its character-at-a-time reference
+# ---------------------------------------------------------------------------
+
+
+#: Fragments where the token rules overlap or fail: non-ASCII word
+#: characters that are not letters, quotes, escapes, fractional literals,
+#: unboxed-tuple brackets, operators that look like comments, comments.
+_LEXER_PIECES = ["²", "٣", "é", "ǅ", "'''", '"\\q"', "'\\q'", "'\\", "\\",
+                 "2.5", "2.5#", "2.5##", "3#", "(#)", "(#", "#)", "--|",
+                 "---|", "-->", "--", "{-", "-}", "{-}", "'", '"', "\n",
+                 " ", "\t", "\r", "x'", "Int#", "let", "_", "§"]
+
+_LEXER_INPUTS = st.one_of(
+    st.text(alphabet=_FUZZ_ALPHABET, max_size=200),
+    st.text(max_size=100),
+    st.lists(st.one_of(st.sampled_from(_LEXER_PIECES), st.text(max_size=3)),
+             max_size=30).map("".join),
+)
+
+
+def _lex_outcome(lex, source):
+    try:
+        return [(t.kind, t.text, t.value, t.span) for t in lex(source)]
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+class TestLexerOracle:
+    @given(_LEXER_INPUTS)
+    @example("{-{-}-}")          # the '-' of an inner "{-}" does not close
+    @example("{- {-} -} -} x")
+    @example("(#.) (##) (#)")    # "(#" is a bracket only before a non-symbol
+    @example("--| ---| --> -- x")
+    @settings(max_examples=600, deadline=None)
+    def test_tokenize_matches_reference(self, source):
+        assert _lex_outcome(tokenize, source) \
+            == _lex_outcome(reference_tokenize, source)
+
+    @given(st.integers(min_value=0, max_value=2**32),
+           st.integers(min_value=0, max_value=999))
+    @settings(max_examples=100, deadline=None)
+    def test_tokenize_matches_reference_on_corpus(self, seed, index):
+        source = generate_program(seed, index).source
+        assert _lex_outcome(tokenize, source) \
+            == _lex_outcome(reference_tokenize, source)
+
+    @given(_LEXER_INPUTS)
+    @settings(max_examples=600, deadline=None)
+    def test_block_starts_are_column_one_token_lines(self, source):
+        try:
+            tokens = tokenize(source)
+        except ParseError:
+            return
+        column_one = sorted({t.line for t in tokens
+                             if t.column == 1 and t.kind != "eof"})
+        starts = [line for line, _ in split_decl_blocks(source)]
+        if starts[0] == 1 and 1 not in column_one:
+            starts = starts[1:]  # the preamble: trivia before the first decl
+        assert starts == column_one

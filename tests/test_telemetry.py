@@ -295,13 +295,7 @@ class TestRegistryReset:
         assert registry.snapshot()["counters"]["x"] == 2
 
     def test_sections_do_not_leak_through_drain(self):
-        bench_dir = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "benchmarks")
-        sys.path.insert(0, bench_dir)
-        try:
-            import benchreport
-        finally:
-            sys.path.remove(bench_dir)
+        benchreport = _import_benchreport()
         # Section 1: a check batch populates solver/batch counters.
         Session().check_many([("a.lev", TWO_UNIT_MODULE)], stats=CheckStats())
         first = benchreport.drain_registry()
@@ -317,6 +311,58 @@ class TestRegistryReset:
         registry.merge_counts({"finds": 3, "unions": 1}, "solver.")
         counters = registry.snapshot()["counters"]
         assert counters == {"solver.finds": 3, "solver.unions": 1}
+
+
+class TestPerfJsonMerge:
+    def test_partial_runs_merge_into_the_file(self, tmp_path, monkeypatch):
+        benchreport = _import_benchreport()
+        path = str(tmp_path / "BENCH_perf.json")
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(
+            {"timings": {"e1.old": {"seconds": 4.0}}}))
+
+        def run(timings, counters):
+            monkeypatch.setattr(benchreport, "_TIMINGS", {})
+            monkeypatch.setattr(benchreport, "_COUNTERS", {})
+            for key, seconds in timings.items():
+                benchreport.record_timing(key, seconds)
+            for key, value in counters.items():
+                benchreport.record_counter(key, value)
+            benchreport.write_perf_json(path, str(baseline))
+            with open(path) as handle:
+                return json.load(handle)
+
+        run({"e1.old": 2.0, "e2.x.legacy": 3.0}, {"e1.ops": 7})
+        report = run({"e2.x.current": 1.0, "e1.old": 1.0}, {"e3.ops": 9})
+        assert {key: entry["seconds"]
+                for key, entry in report["timings"].items()} == {
+            "e1.old": 1.0, "e2.x.legacy": 3.0, "e2.x.current": 1.0}
+        assert report["counters"] == {"e1.ops": 7, "e3.ops": 9}
+        assert report["speedups"]["e2.x"]["speedup"] == 3.0
+        assert report["vs_baseline"]["e1.old"]["speedup"] == 4.0
+
+    def test_unreadable_file_is_replaced(self, tmp_path, monkeypatch):
+        benchreport = _import_benchreport()
+        path = tmp_path / "BENCH_perf.json"
+        path.write_text("{not json")
+        monkeypatch.setattr(benchreport, "_TIMINGS", {})
+        monkeypatch.setattr(benchreport, "_COUNTERS", {"e1.ops": 1})
+        report = benchreport.write_perf_json(
+            str(path), str(tmp_path / "missing.json"))
+        assert report["counters"] == {"e1.ops": 1}
+        assert "vs_baseline" not in report
+        assert json.loads(path.read_text())["counters"] == {"e1.ops": 1}
+
+
+def _import_benchreport():
+    bench_dir = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "benchmarks")
+    sys.path.insert(0, bench_dir)
+    try:
+        import benchreport
+    finally:
+        sys.path.remove(bench_dir)
+    return benchreport
 
 
 # ---------------------------------------------------------------------------
