@@ -756,11 +756,8 @@ class _FileState:
         self.filename = filename
         self.source = source
         self.imports_resolved = imports_resolved
-        self.parsed, self.parse_diagnostics = pipeline.parse(source, filename)
-        self.plan: Optional[ModulePlan] = None
-        if self.parsed is not None:
-            with _TRACER.span("depgraph", file=filename):
-                self.plan = build_plan(self.parsed)
+        self.parsed, self.plan, self.parse_diagnostics = \
+            pipeline.parse_and_plan(source, filename)
         #: uid -> unit payload, filled as units resolve.
         self.payloads: Dict[int, dict] = {}
         #: defined or imported name -> canonical scheme rendering (or

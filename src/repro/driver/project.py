@@ -58,7 +58,10 @@ from .batch import (
     outline_key,
     project_file_key,
 )
-from .depgraph import _tarjan, build_plan
+# ``build_plan`` stays a module global here although planning now goes
+# through ``Pipeline.parse_and_plan``: perfbench's layer tracer wraps it
+# in every driver module.
+from .depgraph import _tarjan, build_plan  # noqa: F401
 from .store import OUTLINE
 from .session import (
     BindingSummary,
@@ -194,12 +197,11 @@ def _outline_node(index: int, filename: str, source: str,
                 tuple((name, Span(*span))
                       for name, span in payload["imports"]),
                 tuple(payload["foreign"]))
-    parsed, _diagnostics = pipeline.parse(source, filename)
-    if parsed is None:
+    _parsed, plan, _diagnostics = pipeline.parse_and_plan(source, filename)
+    if plan is None:
         node = ModuleNode(index, filename, source, _salvage_name(source),
                           True, None, (), ())
     else:
-        plan = build_plan(parsed)
         foreign = sorted({name for unit in plan.units
                           for name in unit.foreign})
         node = ModuleNode(
@@ -537,7 +539,8 @@ def merged_check(check: ProjectCheck,
     env_schemes: Dict[str, Optional[object]] = {}
     for index in check.plan.order:
         node = check.plan.nodes[index]
-        parsed, _diagnostics = pipeline.parse(node.source, node.filename)
+        parsed, _plan, _diagnostics = pipeline.parse_and_plan(
+            node.source, node.filename)
         if parsed is None:
             return None
         for decl in parsed.module.decls:

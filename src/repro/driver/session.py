@@ -384,6 +384,12 @@ class UnitOutcome:
     seconds: float = 0.0
 
 
+#: Files whose parse and plan a pipeline keeps, dropped wholesale when
+#: full.  Small on purpose: one entry holds a module's AST and plan, and a
+#: batch over many files must not keep every one of them alive.
+_PLAN_MEMO_LIMIT = 32
+
+
 class Pipeline:
     """The staged parse → infer → levity → default checker.
 
@@ -408,6 +414,13 @@ class Pipeline:
         #: Session-lived memo of declaration-block parses: re-checking a
         #: module re-lexes/parses only the blocks whose text changed.
         self._block_memo: Dict[str, object] = {}
+        #: filename -> (source, parsed, plan, diagnostics): one parse and
+        #: plan per module version, shared by the project outline, the
+        #: batch step and ``merged_check``.  Only a file's latest version
+        #: is kept; an edit replaces it.
+        self._plan_memo: Dict[str, Tuple[
+            str, Optional[ParsedModule], Optional[ModulePlan],
+            List[Diagnostic]]] = {}
 
     # -- parse ---------------------------------------------------------------
 
@@ -437,6 +450,25 @@ class Pipeline:
             if traced:
                 _TRACER.end("parse")
 
+    def parse_and_plan(self, source: str, filename: str
+                       ) -> Tuple[Optional[ParsedModule], Optional[ModulePlan],
+                                  List[Diagnostic]]:
+        """Parse and plan one module version, memoised on its filename and
+        text; the plan is None when the module does not parse."""
+        entry = self._plan_memo.get(filename)
+        if entry is not None and entry[0] == source:
+            _REGISTRY.inc("parse.module_hits")
+            return entry[1:]
+        parsed, diagnostics = self.parse(source, filename)
+        plan = None
+        if parsed is not None:
+            with _TRACER.span("depgraph", file=filename):
+                plan = build_plan(parsed)
+        if entry is None and len(self._plan_memo) >= _PLAN_MEMO_LIMIT:
+            self._plan_memo.clear()
+        self._plan_memo[filename] = (source, parsed, plan, diagnostics)
+        return parsed, plan, diagnostics
+
     # -- infer + levity + default -------------------------------------------
 
     def check(self, source: str, filename: str = "<input>") -> CheckResult:
@@ -454,10 +486,6 @@ class Pipeline:
         return result
 
     # -- unit-granularity checking -------------------------------------------
-
-    def plan(self, parsed: ParsedModule) -> ModulePlan:
-        """Break a parsed module into dependency-ordered check units."""
-        return build_plan(parsed)
 
     def check_plan(self, plan: ModulePlan) -> Dict[int, UnitOutcome]:
         """Check every unit of a plan in dependency order."""
@@ -546,7 +574,7 @@ class Pipeline:
                             decl, filename: str, span, signature,
                             env: TypeEnv) -> MemberOutcome:
         inferencer = Inferencer(self.options.infer_options(),
-                                spans=parsed.expr_spans)
+                                spans=parsed.expr_spans_of(decl_index))
         try:
             binding = inferencer.infer_binding(
                 env, decl.name, decl.params, decl.rhs, signature)

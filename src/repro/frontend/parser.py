@@ -116,6 +116,7 @@ from ..surface.types import (
     TyVar,
     UnboxedTupleTy,
 )
+from ..telemetry import REGISTRY as _REGISTRY
 from .lexer import RESERVED_SYMBOLS, SYMBOL_CHARS, Span, Token, tokenize
 
 #: Names of the nullary representation constructors.
@@ -215,8 +216,9 @@ class ParsedModule:
     source: str
     #: Span of each declaration, keyed by ("sig" | "bind", name).
     decl_spans: Dict[Tuple[str, str], Span] = field(default_factory=dict)
-    #: Spans of expression nodes, keyed by id(node) (nodes are not interned).
-    expr_spans: Dict[int, Span] = field(default_factory=dict)
+    #: The merged expression-span table once built (see :attr:`expr_spans`).
+    _expr_spans: Optional[Dict[int, Span]] = field(default=None, repr=False,
+                                                   compare=False)
     #: Span of every declaration instance, parallel to ``module.decls``
     #: (unlike ``decl_spans`` this keeps duplicates: the dependency planner
     #: needs the source slice of *each* declaration).
@@ -226,6 +228,33 @@ class ParsedModule:
     #: incremental parser so the dependency planner need not re-walk
     #: unchanged ASTs; ``None`` as a whole means "compute on demand".
     decl_refs: Optional[List[Optional[FrozenSet[str]]]] = None
+    #: Per declaration (parallel to ``module.decls``): its block's
+    #: block-relative expression-span table and the block's line offset.
+    #: Filled by the incremental parser, whose memoised blocks are shared
+    #: by parses that place them at different lines; ``None`` for a
+    #: whole-module parse, whose spans are absolute already.
+    decl_block_spans: Optional[List[Tuple[Dict[int, Span], int]]] = None
+
+    @property
+    def expr_spans(self) -> Dict[int, Span]:
+        """Absolute spans of expression nodes, keyed by id(node) (nodes are
+        not interned); built on first read for an incremental parse."""
+        if self._expr_spans is None:
+            spans: Dict[int, Span] = {}
+            for table, delta in self.decl_block_spans or ():
+                for node_id, span in table.items():
+                    spans[node_id] = _shift_span(span, delta)
+            self._expr_spans = spans
+        return self._expr_spans
+
+    def expr_spans_of(self, decl_index: int):
+        """The absolute spans of one declaration's expression nodes, as a
+        mapping with ``.get(id(node))`` — shifted on lookup, so checking a
+        declaration never copies its block's table."""
+        if self.decl_block_spans is None:
+            return self.expr_spans
+        table, delta = self.decl_block_spans[decl_index]
+        return _ShiftedSpans(table, delta) if delta else table
 
     def span_of_binding(self, name: str) -> Optional[Span]:
         """Best span for diagnostics about the binding ``name``."""
@@ -234,6 +263,23 @@ class ParsedModule:
 
     def span_of_expr(self, expr: Expr) -> Optional[Span]:
         return self.expr_spans.get(id(expr))
+
+
+class _ShiftedSpans:
+    """A block-relative span table read ``delta`` lines further down."""
+
+    __slots__ = ("table", "delta")
+
+    def __init__(self, table: Dict[int, Span], delta: int) -> None:
+        self.table = table
+        self.delta = delta
+
+    def get(self, node_id: int, default: Optional[Span] = None
+            ) -> Optional[Span]:
+        span = self.table.get(node_id)
+        if span is None:
+            return default
+        return _shift_span(span, self.delta)
 
 
 class _TypeScope:
@@ -1030,7 +1076,10 @@ def split_decl_blocks(source: str) -> List[Tuple[int, str]]:
     for index, line in enumerate(lines):
         if _line_starts_decl(line, depth):
             starts.append(index)
-        depth = _scan_line_trivia(line, depth)
+        # Only an opener, or a closer inside a comment, can move the depth:
+        # every other line keeps it, so it skips the character scan.
+        if "{-" in line or (depth and "-}" in line):
+            depth = _scan_line_trivia(line, depth)
     if not starts or starts[0] != 0:
         starts.insert(0, 0)
     blocks: List[Tuple[int, str]] = []
@@ -1061,7 +1110,7 @@ def _parse_block(text: str) -> _BlockParse:
         for decl in parsed.module.decls)
     return _BlockParse(tuple(parsed.module.decls),
                        tuple(parsed.decl_span_list),
-                       dict(parsed.expr_spans), refs)
+                       parsed.expr_spans, refs)
 
 
 def _shift_span(span: Span, delta: int) -> Span:
@@ -1081,17 +1130,23 @@ def parse_module_incremental(source: str, filename: str = "<input>",
     order, spans, expression-span table), but a block whose text is
     already in ``memo`` skips lexing and parsing entirely — the payoff
     that makes warm incremental re-checks parse only the edited bindings.
+    Expression spans stay block-relative (``decl_block_spans``), so an
+    unchanged block costs the same wherever it now sits.
     """
     decls: List[Decl] = []
     decl_spans: Dict[Tuple[str, str], Span] = {}
-    expr_spans: Dict[int, Span] = {}
     decl_span_list: List[Span] = []
     decl_refs: List[Optional[FrozenSet[str]]] = []
+    decl_block_spans: List[Tuple[Dict[int, Span], int]] = []
     used_blocks: set = set()
+    blocks = parsed_blocks = 0
+    error: Optional[ParseError] = None
     for start_line, text in split_decl_blocks(source):
+        blocks += 1
         block = memo.get(text) if memo is not None else None
         if block is None:
             block = _parse_block(text)
+            parsed_blocks += 1
             if memo is not None:
                 if len(memo) >= _BLOCK_MEMO_LIMIT:
                     memo.clear()
@@ -1103,22 +1158,29 @@ def parse_module_incremental(source: str, filename: str = "<input>",
             # overwrite the first's positions — so duplicates get fresh
             # nodes.
             block = _parse_block(text)
+            parsed_blocks += 1
         used_blocks.add(id(block))
         delta = start_line - 1
         if block.error is not None:
             message, line, column = block.error
-            raise ParseError(message, line + delta if line else line, column)
+            error = ParseError(message, line + delta if line else line, column)
+            break
         for decl, span in zip(block.decls, block.decl_span_list):
             absolute = _shift_span(span, delta)
             decls.append(decl)
             decl_span_list.append(absolute)
             decl_spans.setdefault(_decl_key(decl), absolute)
+            decl_block_spans.append((block.expr_spans, delta))
         decl_refs.extend(block.refs)
-        for node_id, span in block.expr_spans.items():
-            expr_spans[node_id] = _shift_span(span, delta)
+    # Once per module parse, not per block or token.
+    _REGISTRY.inc("parse.modules")
+    _REGISTRY.inc("parse.blocks", parsed_blocks)
+    _REGISTRY.inc("parse.block_hits", blocks - parsed_blocks)
+    if error is not None:
+        raise error
     name = validate_module_decls(decls, decl_span_list, name)
-    return ParsedModule(Module(name, decls), filename, source,
-                        decl_spans, expr_spans, decl_span_list, decl_refs)
+    return ParsedModule(Module(name, decls), filename, source, decl_spans,
+                        None, decl_span_list, decl_refs, decl_block_spans)
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,9 @@ class Inferencer:
         #: ``method_schemes(class_decl)`` when class/instance declarations or
         #: class constraints are used.
         self.class_env = class_env
-        #: Optional mapping ``id(expr) -> Span`` (the frontend's
-        #: ``ParsedModule.expr_spans``).  When present, scope errors,
+        #: Optional mapping ``id(expr) -> Span``, read only through
+        #: ``.get`` (the frontend's ``ParsedModule.expr_spans``, or one
+        #: declaration's ``expr_spans_of`` view).  When present, scope errors,
         #: unification failures and levity violations are stamped with the
         #: span of the offending *sub-expression* instead of leaving the
         #: caller to fall back to the whole binding.

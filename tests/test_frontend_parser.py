@@ -1,10 +1,13 @@
 """Unit tests for the concrete-syntax frontend (lexer + parser)."""
 
+import dataclasses
 import pickle
 import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ParseError
 from repro.core.kinds import (
@@ -38,6 +41,7 @@ from repro.surface.ast import (
     ELitString,
     EUnboxedTuple,
     EVar,
+    Expr,
     FunBind,
     TypeSig,
 )
@@ -463,6 +467,17 @@ class TestIncrementalParsing:
         # *identical* duplicate blocks: the memo must not share AST nodes
         # within one module (expression spans are id()-keyed)
         "w = 1#\nw = 1#\n",
+        # a stray closer at depth 0 (in a line comment, in a string) does
+        # not open or close anything
+        "a = 1# -- stray -} closer\nb = 2# --}\n",
+        't = "-}"\nu = t\n',
+        # an opener inside a string literal opens nothing
+        's = "{- not a comment"\nt = 1#\n',
+        # a comment opened mid-line hides the column-1 line after it
+        "a = 1# {- open\nb = 2#\n-} +# 3#\nc = 4#\n",
+        # a nested opener on a line of its own keeps the depth above zero
+        # past the first closer
+        "{- outer\n  {- inner\n-}\nx = 1#\n-}\ny = 2#\n",
     ]
 
     @staticmethod
@@ -486,6 +501,18 @@ class TestIncrementalParsing:
         warm = parse_module_incremental(source, "case.lev", memo=memo)
         for incremental in (cold, warm):
             assert self._observables(incremental) == self._observables(whole)
+
+    @pytest.mark.parametrize("source", CASES)
+    def test_blocks_start_at_column_one_tokens(self, source):
+        # A coarser split still parses the same (a block may hold several
+        # declarations), so the block starts are pinned on their own.
+        from repro.frontend.parser import split_decl_blocks
+
+        starts = sorted({token.line for token in tokenize(source)
+                         if token.column == 1 and token.kind != "eof"})
+        blocks = split_decl_blocks(source)
+        assert [line for line, _ in blocks if line in starts] == starts
+        assert all(line in starts for line, _ in blocks[1:])
 
     def test_examples_and_golden_corpora_match(self):
         import glob
@@ -537,3 +564,132 @@ class TestIncrementalParsing:
             whole_error = caught
         assert (exc.value.line, exc.value.column) == \
             (whole_error.line, whole_error.column)
+
+
+# ---------------------------------------------------------------------------
+# Span placement across edits (one block memo)
+# ---------------------------------------------------------------------------
+
+
+def _expr_preorder(node):
+    """Every expression node under ``node``, in pre-order."""
+    if isinstance(node, Expr):
+        yield node
+    if dataclasses.is_dataclass(node):
+        for item in dataclasses.fields(node):
+            yield from _expr_preorder(getattr(node, item.name))
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _expr_preorder(item)
+
+
+#: A module as chunks of whole lines.  ``bad`` has a type error whose
+#: diagnostic lands on the sub-expression ``f (g True)``.
+_SPAN_BASE = (
+    "f :: Int# -> Int#\nf x = x +# 1#\n",
+    "\n",
+    "bad :: Int#\nbad = f (g True)\n",
+    "\n",
+    "g y = y\n",
+    "-- a comment line\n",
+    "h = \\k -> case k of { 1# -> f k; _ -> let z = f 2# in z }\n",
+)
+
+#: What an edit inserts: blank lines, comment lines, whole bindings.
+_SPAN_INSERTS = ("\n", "-- note\n", "{- a block\ncomment -}\n",
+                 "extra = f 3#\n", "pair x = (# f x, g x #)\n")
+
+#: Chunks an edit may delete: the base module's trivia and any insert
+#: (the base bindings, and so the type error, always remain).
+_SPAN_DELETABLE = frozenset(_SPAN_INSERTS) | {"-- a comment line\n"}
+
+
+@st.composite
+def _edit_sequences(draw):
+    """The texts of a random edit sequence, then of undoing it step by
+    step back to the base module."""
+    chunks = list(_SPAN_BASE)
+    texts = ["".join(chunks)]
+    undo = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        deletable = [index for index, chunk in enumerate(chunks)
+                     if chunk in _SPAN_DELETABLE]
+        if deletable and draw(st.booleans()):
+            index = draw(st.sampled_from(deletable))
+            undo.append((index, chunks.pop(index)))
+        else:
+            index = draw(st.integers(min_value=0, max_value=len(chunks)))
+            chunks.insert(index, draw(st.sampled_from(_SPAN_INSERTS)))
+            undo.append((index, None))
+        texts.append("".join(chunks))
+    for index, removed in reversed(undo):
+        if removed is None:
+            del chunks[index]
+        else:
+            chunks.insert(index, removed)
+        texts.append("".join(chunks))
+    assert texts[-1] == texts[0]
+    return texts
+
+
+class TestSpanPlacement:
+    """Memoised blocks are shared by parses that place them at different
+    lines.  Every parse must give each expression node its own absolute
+    span, and keep giving it after later parses move the same blocks."""
+
+    @staticmethod
+    def _assert_spans(parsed, source, merged=False):
+        """Each node's span — through the per-declaration view the
+        inferencer reads, or the merged table — equals the whole-module
+        parse's span for the same node (paired by a pre-order walk)."""
+        whole = parse_module(source, "m.lev")
+        assert len(parsed.module.decls) == len(whole.module.decls)
+        seen = 0
+        for index, (decl, twin) in enumerate(zip(parsed.module.decls,
+                                                 whole.module.decls)):
+            view = parsed.expr_spans if merged \
+                else parsed.expr_spans_of(index)
+            nodes = list(_expr_preorder(decl))
+            twins = list(_expr_preorder(twin))
+            assert [type(node) for node in nodes] == \
+                [type(node) for node in twins]
+            for node, other in zip(nodes, twins):
+                expected = whole.expr_spans.get(id(other))
+                assert view.get(id(node)) == expected
+                seen += expected is not None
+        assert seen
+
+    @staticmethod
+    def _bad_span(source):
+        line = source.split("\n").index("bad = f (g True)") + 1
+        return Span(line, 7, line, 17)
+
+    @given(_edit_sequences())
+    @settings(max_examples=40, deadline=None)
+    def test_edit_sequences_keep_spans_on_their_nodes(self, texts):
+        from repro.driver import Session
+
+        session = Session()
+        taken = []
+        for source in texts:
+            parsed, diagnostics = session.pipeline.parse(source, "m.lev")
+            assert parsed is not None and not diagnostics
+            self._assert_spans(parsed, source)
+            taken.append((parsed, source))
+            # A type error in a moved block is placed as a cold check
+            # places it.
+            warm = session.check(source, "m.lev")
+            cold = Session().check(source, "m.lev")
+            placed = [(d.span, d.message) for d in warm.diagnostics]
+            assert placed == [(d.span, d.message) for d in cold.diagnostics]
+            assert self._bad_span(source) in [span for span, _ in placed]
+        # Earlier parses keep their spans although their blocks now sit at
+        # other lines; the merged table is built only now, on first read.
+        for parsed, source in taken:
+            self._assert_spans(parsed, source)
+            self._assert_spans(parsed, source, merged=True)
+
+    def test_parse_module_spans_are_absolute_already(self):
+        parsed = parse_module("a = 1#\n\nb = a +# 2#\n", "m.lev")
+        assert parsed.decl_block_spans is None
+        assert parsed.expr_spans_of(1) is parsed.expr_spans

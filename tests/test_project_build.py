@@ -249,6 +249,47 @@ class TestCrossModuleIncremental:
         assert stats.checked == 1, stats.pretty()
         assert stats.file_hits == 3
 
+    def test_body_edit_parses_and_plans_the_module_once(self, tmp_path,
+                                                        monkeypatch, counts):
+        # The project outline and the batch step share one parse and one
+        # plan of the edited module; unedited modules are never parsed.
+        import repro.driver.batch as batch_mod
+        import repro.driver.project as project_mod
+        import repro.driver.session as session_mod
+        import repro.frontend.parser as parser_mod
+
+        parses, plans = [], []
+
+        def spy(log, function, name_of):
+            def wrapper(*args, **kwargs):
+                log.append(name_of(*args, **kwargs))
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(parser_mod, "parse_module_incremental", spy(
+            parses, parser_mod.parse_module_incremental,
+            lambda source, filename="<input>", **_: filename))
+        for module in (session_mod, batch_mod, project_mod):
+            monkeypatch.setattr(module, "build_plan", spy(
+                plans, module.build_plan, lambda parsed: parsed.filename))
+
+        session = Session()
+        cache = ResultCache(self.fresh_cache(tmp_path))
+        assert check_project(PROJECT, cache=cache, session=session).ok
+        edited = NAT.replace("double# n = n +# n", "double# n = n *# 2#")
+        del parses[:], plans[:]
+        counts.reset()
+        check = check_project([("nat.lev", edited)] + PROJECT[1:],
+                              cache=cache, session=session)
+        assert check.ok and check.stats.checked == 1
+        assert parses == ["nat.lev"]
+        assert plans == ["nat.lev"]
+        assert counts("parse.modules") == 1
+        assert counts("parse.module_hits") == 1
+        # Only the edited binding's block was lexed and parsed again.
+        assert counts("parse.blocks") == 1
+        assert counts("parse.block_hits") >= 4
+
     def test_scheme_change_invalidates_only_consumers(self, tmp_path):
         base = "module D where\n\nv :: Int\nv = 4\nw :: Int\nw = 5\n"
         left = "module B where\nimport D\n\nl :: Int\nl = v\n"
@@ -344,6 +385,27 @@ class TestRunAndDiscovery:
         result = run_project(session, check, "main")
         assert result.ok
         assert result.value == "(I# 110#)"
+
+    def test_build_and_run_parses_each_module_once(self, tmp_path, capsys,
+                                                   counts):
+        # ``build --run`` merges the project from the parses the build
+        # already made instead of parsing every module again.
+        from repro.__main__ import main
+
+        for filename, source in PROJECT:
+            (tmp_path / filename).write_text(source)
+        assert main(["build", str(tmp_path), "--run"]) == 0
+        assert "main = (I# 110#)" in capsys.readouterr().out
+        assert counts("parse.modules") == len(PROJECT)
+        counts.reset()
+        # Warm: the build answers every module from the cache without a
+        # parse, so the run parses each module once.
+        cache = str(tmp_path / "cache")
+        assert main(["build", str(tmp_path), "--cache", cache]) == 0
+        counts.reset()
+        assert main(["build", str(tmp_path), "--cache", cache, "--run"]) == 0
+        capsys.readouterr()
+        assert counts("parse.modules") == len(PROJECT)
 
     def test_discover_sources_walks_directories(self, tmp_path):
         (tmp_path / "sub").mkdir()
