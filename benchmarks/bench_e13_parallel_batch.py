@@ -17,7 +17,7 @@ through :meth:`repro.driver.Session.check_many` with
 session's ``pool.*`` registry counters land in ``BENCH_perf.json``
 under ``e13.*``.
 Correctness (ordering, ok-ness, cache hit counts, byte-identical warm
-results, pool reuse under ``REPRO_PARALLEL=always``) is asserted always.
+results, pool reuse with the serial cutoff patched out) is asserted always.
 
 Wall-clock gates are two-sided now that the pool persists: ``--jobs 2``
 must be **no slower than 0.9x serial on any machine** (on a 1-CPU
@@ -40,8 +40,8 @@ from benchreport import (
 )
 from bench_e12_frontend_pipeline import make_corpus
 from repro.driver import Session
+import repro.driver.batch as batch
 from repro.driver.batch import (
-    PARALLEL_MODE_ENV,
     ResultCache,
     payload_bytes,
     result_to_payload,
@@ -70,7 +70,7 @@ def _check_jobs(session, corpus, jobs):
     return results
 
 
-def test_report_parallel_batch_throughput(tmp_path):
+def test_report_parallel_batch_throughput(tmp_path, monkeypatch):
     corpus = make_corpus(CORPUS_SIZE)
 
     session = Session()
@@ -99,9 +99,8 @@ def test_report_parallel_batch_throughput(tmp_path):
     session.close()
 
     # -- pool reuse, proven by counters (forced past the serial cutoff) -----
-    previous = os.environ.get(PARALLEL_MODE_ENV)
-    os.environ[PARALLEL_MODE_ENV] = "always"
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(batch, "_effective_jobs", lambda jobs, *_: jobs)
         forced = Session()
         serial_results = Session().check_many(corpus)
         drain_registry()
@@ -117,11 +116,6 @@ def test_report_parallel_batch_throughput(tmp_path):
         assert len(second) == CORPUS_SIZE // 2
         forced.close()
         assert forced._pool is None
-    finally:
-        if previous is None:
-            del os.environ[PARALLEL_MODE_ENV]
-        else:
-            os.environ[PARALLEL_MODE_ENV] = previous
 
     # -- incremental cache: cold run, then a warm re-run ---------------------
     cache_path = str(tmp_path / "e13-cache.json")

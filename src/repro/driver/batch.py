@@ -11,9 +11,9 @@ PR 3 cached whole source texts; this version caches **compilation units**
 so editing one binding invalidates exactly that unit plus the units whose
 *dependency schemes actually change* — a dependent whose dependency was
 edited but re-checked to the same scheme is still a cache hit (early
-cutoff).  Parse is always re-done (it is cheap and yields the plan the
-walk needs); inference, the levity post-pass and Rep defaulting are what
-the cache skips.
+cutoff).  An edited file is parsed and planned once per version
+(:meth:`~repro.driver.session.Pipeline.parse_and_plan`); inference, the
+levity post-pass and Rep defaulting are what the cache skips.
 
 Three layers:
 
@@ -36,13 +36,15 @@ Three layers:
   clobber each other's fresh entries.  An optional session-owned
   :class:`~repro.driver.store.HotTier` serves hot shards from memory.
 
-* **The scheduler** — :func:`check_many_sharded` walks every file's units
-  in dependency order.  With ``jobs > 1`` the pending units are dispatched
-  in **waves**: each wave contains every unit whose dependencies are
-  resolved, sharded across a process pool (units — not files — are the
-  unit of sharding).  Workers re-derive the plan from the shipped source
-  and receive the transitive dependency schemes as canonical renderings,
-  so a worker round-trip is byte-identical to an in-process check.
+* **The scheduler** — :func:`check_many_sharded` resolves every file's
+  units through one walk (:class:`_UnitWalk`): in dependency order, each
+  unit is looked up by key and, on a miss, checked.  With ``jobs > 1``
+  the walk first runs as a pre-pass that leaves each miss and the units
+  blocked behind it pending; one job per file then ships across a
+  process pool (units — not files — are the unit of sharding).  Workers
+  run the same walk over the shipped source and the canonical
+  renderings of the already-resolved schemes, so a worker round-trip is
+  byte-identical to an in-process check.
 
 File-level payload helpers (:func:`result_to_payload` /
 :func:`result_from_payload` / :func:`payload_bytes`) are unchanged from
@@ -57,7 +59,8 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from ..core.errors import ParseError
 from ..frontend.lexer import Span
@@ -93,7 +96,6 @@ from .session import (
 
 __all__ = [
     "CACHE_SCHEMA",
-    "PARALLEL_MODE_ENV",
     "CheckStats",
     "ResultCache",
     "cache_key",
@@ -661,8 +663,9 @@ class CheckStats:
         return "\n".join(lines)
 
 
+
 # ---------------------------------------------------------------------------
-# The incremental unit walk (shared by the serial path and the workers)
+# Dependency schemes
 # ---------------------------------------------------------------------------
 
 
@@ -679,12 +682,11 @@ class _SchemeResolver:
 
     def __init__(self, pipeline: Pipeline, plan: ModulePlan,
                  srcs: Dict[str, Optional[str]],
-                 objects: Optional[Dict[str, Optional[Scheme]]] = None
-                 ) -> None:
+                 objects: Dict[str, Optional[Scheme]]) -> None:
         self.pipeline = pipeline
         self.plan = plan
         self.srcs = srcs
-        self.objects = objects if objects is not None else {}
+        self.objects = objects
 
     def scheme(self, name: str) -> Optional[Scheme]:
         if name in self.objects:
@@ -725,14 +727,6 @@ class _SchemeResolver:
         return available
 
 
-def _compute_unit_payload(pipeline: Pipeline, plan: ModulePlan, uid: int,
-                          resolver: _SchemeResolver
-                          ) -> Tuple[dict, UnitOutcome]:
-    unit = plan.units[uid]
-    outcome = pipeline.check_unit(plan, unit, resolver.available_for(unit))
-    return payload_from_unit_outcome(outcome), outcome
-
-
 # ---------------------------------------------------------------------------
 # Per-file state
 # ---------------------------------------------------------------------------
@@ -741,11 +735,11 @@ def _compute_unit_payload(pipeline: Pipeline, plan: ModulePlan, uid: int,
 class _FileState:
     """One input file's parse, plan, and per-unit resolution state.
 
-    ``externals`` (project mode) maps imported names to the canonical
-    renderings of their exported schemes (None = the export failed); it
-    seeds ``scheme_srcs``, so foreign references resolve through exactly
-    the same machinery as local dependencies — including the worker IPC
-    path, which ships ``scheme_srcs`` wholesale.
+    ``externals`` maps names defined outside the file's resolved units
+    to canonical scheme renderings (None = failed): a project module's
+    imported exports, or — in a worker — every scheme the parent already
+    resolved.  It seeds ``scheme_srcs``, so those names resolve through
+    exactly the same machinery as local dependencies.
     """
 
     def __init__(self, index: int, filename: str, source: str,
@@ -835,15 +829,107 @@ class _FileState:
 
 
 # ---------------------------------------------------------------------------
+# The unit walk (serial, pre-pass, in-process fallback and workers)
+# ---------------------------------------------------------------------------
+
+
+class _UnitWalk:
+    """Resolve a file's units in dependency order: look each one up, then
+    check it in-process or leave it pending.
+
+    :meth:`resolve` is the only place units are resolved in-process: the
+    ``jobs == 1`` walk, the pre-pass before fan-out, the fallback when the
+    serial cutoff or a broken pool keeps a batch at home, and every worker
+    (which walks without a cache, so only an in-shard duplicate hits).
+    """
+
+    def __init__(self, pipeline: Pipeline, options: DriverOptions,
+                 cache: Optional[ResultCache], stats: CheckStats) -> None:
+        self.pipeline = pipeline
+        self.options = options
+        self.fingerprint = options_fingerprint(options)
+        self.cache = cache
+        self.stats = stats
+        #: In-batch memo: identical units (same key) check at most once
+        #: even without a persistent cache.
+        self.memo: Dict[str, dict] = {}
+        #: Keys the cache missed that nothing has recorded since: a unit
+        #: the pre-pass left pending and the fallback then checks counts
+        #: one miss, not two.
+        self.missed: Set[str] = set()
+
+    def key(self, state: _FileState, unit: CheckUnit) -> str:
+        return unit_key(unit.source, state.dep_items(unit), self.options,
+                        self.fingerprint)
+
+    def lookup(self, key: str) -> Optional[dict]:
+        traced = _TRACER.enabled
+        if traced:
+            _TRACER.begin("cache.lookup")
+        try:
+            if self.cache is None:
+                return self.memo.get(key)
+            if key in self.missed:
+                return None
+            payload = self.cache.get(UNIT, key)
+            if payload is None:
+                self.stats.cache_misses += 1
+                self.missed.add(key)
+            return payload
+        finally:
+            if traced:
+                _TRACER.end("cache.lookup")
+
+    def record(self, key: str, payload: dict) -> None:
+        if self.cache is not None:
+            self.cache.put(UNIT, key, payload)  # identical payloads store free
+            self.missed.discard(key)
+        else:
+            self.memo[key] = payload
+
+    def resolve(self, state: _FileState, uids: Iterable[int],
+                check: bool = True) -> List[int]:
+        """Resolve ``state``'s units ``uids`` (ascending uids are
+        dependency order) and return the ones left pending.
+
+        A unit whose key hits resolves from the cached payload.  On a miss
+        ``check=True`` checks it in-process, records the payload and
+        resolves it; ``check=False`` leaves it pending, with every unit
+        blocked behind it (their keys need its scheme).
+        """
+        plan = state.plan
+        resolver = _SchemeResolver(self.pipeline, plan, state.scheme_srcs,
+                                   state.schemes)
+        pending: Set[int] = set()
+        for uid in uids:
+            unit = plan.units[uid]
+            if any(plan.defining_unit[dep] in pending for dep in unit.deps):
+                pending.add(uid)
+                continue
+            key = self.key(state, unit)
+            payload = self.lookup(key)
+            if payload is not None:
+                state.resolve(unit, payload)
+                self.stats.note(state.filename, unit, None, "hit")
+            elif check:
+                outcome = self.pipeline.check_unit(
+                    plan, unit, resolver.available_for(unit))
+                payload = payload_from_unit_outcome(outcome)
+                self.record(key, payload)
+                state.resolve(unit, payload, outcome)
+                self.stats.note(state.filename, unit, outcome.seconds,
+                                "checked")
+            else:
+                pending.add(uid)
+        return sorted(pending)
+
+
+# ---------------------------------------------------------------------------
 # Worker processes
 # ---------------------------------------------------------------------------
 
 #: The per-process warm session (prelude built once per worker).
 _WORKER_SESSION: Optional[Session] = None
-
-#: Process-global parse/plan memo, keyed by source hash (bounded).
-_WORKER_PLANS: Dict[str, ModulePlan] = {}
-_WORKER_PLAN_LIMIT = 1024
 
 
 def _worker_init(options_state: dict, trace_enabled: bool = False) -> None:
@@ -857,43 +943,6 @@ def _worker_init(options_state: dict, trace_enabled: bool = False) -> None:
     else:
         _TRACER.disable()
     _WORKER_SESSION = Session(DriverOptions(**options_state))
-
-
-def _plan_for(pipeline: Pipeline, filename: str, source: str) -> ModulePlan:
-    memo_key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    plan = _WORKER_PLANS.get(memo_key)
-    if plan is None:
-        parsed, _ = pipeline.parse(source, filename)
-        assert parsed is not None, \
-            "worker received a source that does not parse"
-        plan = build_plan(parsed)
-        if len(_WORKER_PLANS) >= _WORKER_PLAN_LIMIT:
-            _WORKER_PLANS.clear()
-        _WORKER_PLANS[memo_key] = plan
-    return plan
-
-
-def _check_pending_units(pipeline: Pipeline, plan: ModulePlan,
-                         pending: Sequence[int],
-                         resolver: "_SchemeResolver"
-                         ) -> List[Tuple[int, dict]]:
-    """Check a file's pending units in dependency order, exporting each
-    unit's schemes into the resolver so later units in the chain see them.
-    ``pending`` uids are ascending, which *is* dependency order."""
-    payloads: List[Tuple[int, dict]] = []
-    for uid in pending:
-        unit = plan.units[uid]
-        payload, outcome = _compute_unit_payload(pipeline, plan, uid,
-                                                 resolver)
-        payloads.append((uid, payload))
-        for member in outcome.members:
-            name = member.summary.name
-            if plan.defining_decl.get(name) == member.decl_index:
-                resolver.objects[name] = member.env_scheme
-                resolver.srcs[name] = (
-                    canonical_scheme(member.env_scheme)
-                    if member.env_scheme is not None else None)
-    return payloads
 
 
 #: One worker job: (job id, filename, source, pending unit uids,
@@ -910,10 +959,10 @@ def _worker_check_units(shard: List[_UnitJob]
     The shard's granularity is the *unit*: fully-cached units never reach
     a worker, and each job carries exactly one file's pending units (file
     affinity keeps one parse per file; units within a file form dependency
-    chains, so they are walked in order locally).  Workers re-derive the
-    plan from the shipped source (deterministic) and rebuild dependency
-    environments from the canonical scheme renderings, so worker output is
-    byte-identical to an in-process check.
+    chains, so they are walked in order locally).  Each job becomes a
+    :class:`_FileState` over the shipped source, seeded with the shipped
+    scheme renderings, and goes through the same :class:`_UnitWalk` as an
+    in-process check — so worker output is byte-identical to it.
 
     Returns ``(results, trace_payload)``: when the worker tracer is on,
     the second element ships this process's spans (with its pid and
@@ -922,16 +971,20 @@ def _worker_check_units(shard: List[_UnitJob]
     session = _WORKER_SESSION
     assert session is not None, "worker used without _worker_init"
     pipeline = session.pipeline
+    walk = _UnitWalk(pipeline, session.options, None, CheckStats())
     traced = _TRACER.enabled
     out = []
     for job, filename, source, pending, dep_srcs in shard:
         if traced:
             _TRACER.begin("worker.file", file=filename, units=len(pending))
         try:
-            plan = _plan_for(pipeline, filename, source)
-            resolver = _SchemeResolver(pipeline, plan, dict(dep_srcs))
-            out.append((job, _check_pending_units(pipeline, plan, pending,
-                                                  resolver)))
+            state = _FileState(job, filename, source, pipeline,
+                               externals=dict(dep_srcs))
+            assert state.plan is not None, \
+                "worker received a source that does not parse"
+            walk.resolve(state, pending)
+            out.append((job, [(uid, state.payloads[uid])
+                              for uid in pending]))
         finally:
             if traced:
                 _TRACER.end("worker.file")
@@ -955,40 +1008,21 @@ def _shard(pending: List, jobs: int) -> List[List]:
 # Parallel scheduling policy
 # ---------------------------------------------------------------------------
 
-#: Environment override for the serial-cutoff heuristics:
-#: ``auto`` (default) applies them, ``always`` fans out whenever
-#: ``jobs > 1`` (benchmarks/tests proving pool reuse), ``never`` forces
-#: the in-process path.
-PARALLEL_MODE_ENV = "REPRO_PARALLEL"
-
 #: Fewest pending units that may ship to one worker before fan-out is
 #: worth its dispatch cost (pickling + IPC; spawn is already amortised by
 #: the persistent pool, but a warm round-trip is still not free).
 _MIN_UNITS_PER_WORKER = 4
 
 
-def _parallel_mode() -> str:
-    mode = os.environ.get(PARALLEL_MODE_ENV, "auto").strip().lower()
-    return mode if mode in ("auto", "always", "never") else "auto"
-
-
 def _effective_jobs(jobs: int, pending_units: int, unit_jobs: int) -> int:
     """How many workers this batch should actually use.
 
-    ``auto`` mode applies the serial cutoff (tiny batches and 1-CPU hosts
-    never pay worker dispatch) and autotunes the shard count so every
-    worker has at least :data:`_MIN_UNITS_PER_WORKER` units; ``always``
-    and ``never`` bypass the heuristics in either direction.
+    The serial cutoff: tiny batches, single-file batches and 1-CPU hosts
+    never pay worker dispatch, and the shard count is autotuned so every
+    worker has at least :data:`_MIN_UNITS_PER_WORKER` units.
     """
-    if jobs <= 1:
-        return 1
-    mode = _parallel_mode()
-    if mode == "never":
-        return 1
-    if mode == "always":
-        return jobs
     cpus = os.cpu_count() or 1
-    if cpus <= 1 or unit_jobs <= 1:
+    if jobs <= 1 or cpus <= 1 or unit_jobs <= 1:
         return 1
     jobs = min(jobs, cpus, unit_jobs)
     while jobs > 1 and pending_units < jobs * _MIN_UNITS_PER_WORKER:
@@ -1009,8 +1043,6 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
                        stats: Optional[CheckStats] = None,
                        externals: Optional[Sequence[
                            Optional[Dict[str, Optional[str]]]]] = None,
-                       file_keys_in: Optional[Sequence[
-                           Optional[str]]] = None,
                        exports_out: Optional[List[
                            Optional[Dict[str, Optional[str]]]]] = None,
                        ) -> List[CheckResult]:
@@ -1031,17 +1063,15 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
     hit/miss counts for ``--stats``; counters accumulate, so the project
     walk can thread one object through its per-level calls.
 
-    The project planner (:mod:`repro.driver.project`) drives the three
-    extra per-file sequences, each parallel to ``sources``:
+    The project planner (:mod:`repro.driver.project`) drives two extra
+    per-file sequences, each parallel to ``sources``:
 
-    * ``externals[i]`` — imported name → canonical exported scheme
-      rendering (None value = the export failed).  A non-None entry puts
-      file ``i`` in **project mode**: foreign references resolve against
-      it, unit keys fold in the referenced renderings, and import
-      declarations produce no single-file warning.
-    * ``file_keys_in[i]`` — overrides the file-level cache key (the
-      planner computes :func:`project_file_key` from the outline's foreign
-      references, which the plain source key cannot see).
+    * ``externals[i]`` — referenced imported name → canonical exported
+      scheme rendering (None value = the export failed).  A non-None
+      entry puts file ``i`` in **project mode**: foreign references
+      resolve against it, unit keys fold in the referenced renderings,
+      the file-level key is :func:`project_file_key` over them, and
+      import declarations produce no single-file warning.
     * ``exports_out[i]`` — filled with the file's export map
       ({defined name: canonical rendering | None}), or None when the file
       failed to parse.  Served from the exports table on file-level
@@ -1057,20 +1087,22 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
         # telemetry registry's batch.* counters accurate whether or not
         # the caller asked for a --stats table.
         stats = CheckStats()
-    pipeline = session.pipeline
-    fingerprint = options_fingerprint(options)
+    walk = _UnitWalk(session.pipeline, options, cache, stats)
+    fingerprint = walk.fingerprint
 
     items = list(sources)
     results: List[Optional[CheckResult]] = [None] * len(items)
-    file_keys: List[str] = []
+    file_keys: Dict[int, str] = {}
     active: List[_FileState] = []
     for index, (filename, source) in enumerate(items):
         ext = externals[index] if externals is not None else None
-        file_key = file_keys_in[index] \
-            if file_keys_in is not None and file_keys_in[index] is not None \
-            else cache_key(source, options, fingerprint)
-        file_keys.append(file_key)
         if cache is not None:
+            if ext is None:
+                file_key = cache_key(source, options, fingerprint)
+            else:
+                file_key = project_file_key(source, sorted(ext.items()),
+                                            options, fingerprint)
+            file_keys[index] = file_key
             # In project mode a file-level hit must also supply the
             # module's exports (importers need them without a re-parse),
             # so a missing exports entry re-opens the file unprobed.
@@ -1085,59 +1117,14 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
                         exports_out[index] = exports_payload["exports"]
                     stats.file_hits += 1
                     continue
-        active.append(_FileState(index, filename, source, pipeline,
+        active.append(_FileState(index, filename, source, session.pipeline,
                                  externals=ext,
                                  imports_resolved=ext is not None))
 
     stats.count_files(len(items), sum(1 for state in active
                                       if state.parsed is None))
 
-    #: In-batch memo: identical units (same key) check at most once even
-    #: without a persistent cache.
-    memo: Dict[str, dict] = {}
-
-    def lookup(key: str) -> Optional[dict]:
-        traced = _TRACER.enabled
-        if traced:
-            _TRACER.begin("cache.lookup")
-        try:
-            if cache is not None:
-                payload = cache.get(UNIT, key)
-                if payload is None:
-                    stats.cache_misses += 1
-                return payload
-            return memo.get(key)
-        finally:
-            if traced:
-                _TRACER.end("cache.lookup")
-
-    def record(key: str, payload: dict) -> None:
-        if cache is not None:
-            cache.put(UNIT, key, payload)  # identical payloads store free
-        memo[key] = payload
-
-    if jobs == 1:
-        for state in active:
-            if state.plan is None:
-                continue
-            resolver = _SchemeResolver(pipeline, state.plan,
-                                       state.scheme_srcs, state.schemes)
-            for unit in state.units:
-                key = unit_key(unit.source, state.dep_items(unit), options,
-                               fingerprint)
-                payload = lookup(key)
-                if payload is not None:
-                    state.resolve(unit, payload)
-                    stats.note(state.filename, unit, None, "hit")
-                    continue
-                payload, outcome = _compute_unit_payload(
-                    pipeline, state.plan, unit.uid, resolver)
-                record(key, payload)
-                state.resolve(unit, payload, outcome)
-                stats.note(state.filename, unit, outcome.seconds, "checked")
-    else:
-        _check_units_parallel(active, options, jobs, lookup, record, stats,
-                              pipeline, session, fingerprint)
+    _check_units(active, jobs, walk, session)
 
     for state in active:
         result = state.assemble()
@@ -1165,25 +1152,25 @@ def check_many_sharded(sources: Iterable[Tuple[str, str]],
     return results  # type: ignore[return-value]
 
 
-def _check_units_parallel(active: List[_FileState], options: DriverOptions,
-                          jobs: int, lookup, record,
-                          stats: CheckStats,
-                          pipeline: Pipeline,
-                          session: Session,
-                          fingerprint: Optional[str] = None) -> None:
-    """Resolve pending units across the session's persistent worker pool.
+def _check_units(active: List[_FileState], jobs: int, walk: _UnitWalk,
+                 session: Session) -> None:
+    """Resolve every parsed file's units, fanning misses out when it pays.
 
-    Per file, cache-resolvable units are answered in dependency order in
-    the main process (a hit exports its scheme rendering, which may make
-    the *next* unit's key resolvable — the early-cutoff cascade); the
-    first unresolvable unit and everything after it become one unit job.
-    Jobs are deduplicated (identical sources check once) and sharded
-    contiguously across the pool owned by ``session`` — reused from the
-    previous batch when large enough, so spawn cost is paid at most once
-    per session.  The serial cutoff (:func:`_effective_jobs`) keeps tiny
-    batches and 1-CPU hosts on the in-process path, and restricted
-    environments (no fork, no /dev/shm) degrade to it rather than
-    failing.
+    With ``jobs == 1`` one :meth:`_UnitWalk.resolve` per file does
+    everything.  Otherwise that walk first runs as a pre-pass: hits
+    resolve in dependency order in the main process (a hit exports its
+    scheme rendering, which may make the *next* unit's key resolvable —
+    the early-cutoff cascade), and each miss, with every unit blocked
+    behind it, stays pending as part of the file's unit job.  Jobs are
+    deduplicated (identical sources check once) and sharded contiguously
+    across the pool owned by ``session`` — reused from the previous batch
+    when large enough, so spawn cost is paid at most once per session.
+
+    When the serial cutoff (:func:`_effective_jobs`) keeps the batch
+    in-process, or the pool cannot start or breaks (no fork, no
+    /dev/shm), the pending units go back through the same walk: blocked
+    units are looked up once their dependencies resolve, so the counts
+    match a ``jobs == 1`` run.
     """
     import concurrent.futures
 
@@ -1192,21 +1179,8 @@ def _check_units_parallel(active: List[_FileState], options: DriverOptions,
     for state in active:
         if state.plan is None:
             continue
-        pending: List[int] = []
-        pending_uids: set = set()
-        for unit in state.units:
-            blocked = any(state.plan.defining_unit[dep] in pending_uids
-                          for dep in unit.deps)
-            if not blocked:
-                key = unit_key(unit.source, state.dep_items(unit), options,
-                               fingerprint)
-                payload = lookup(key)
-                if payload is not None:
-                    state.resolve(unit, payload)
-                    stats.note(state.filename, unit, None, "hit")
-                    continue
-            pending.append(unit.uid)
-            pending_uids.add(unit.uid)
+        pending = walk.resolve(state, range(len(state.units)),
+                               check=jobs == 1)
         if pending:
             unit_jobs.append((state, pending))
     if not unit_jobs:
@@ -1228,29 +1202,15 @@ def _check_units_parallel(active: List[_FileState], options: DriverOptions,
         else:
             duplicate_of.append(position)
 
-    shipped: List[_UnitJob] = [
-        (position, state.filename, state.source, pending,
-         list(state.scheme_srcs.items()))
-        for position, (state, pending) in enumerate(unique)]
-
-    computed: List[Optional[List[Tuple[int, dict]]]] = [None] * len(unique)
-
-    def compute_serially() -> None:
-        for position, (state, pending) in enumerate(unique):
-            if computed[position] is not None:
-                continue
-            resolver = _SchemeResolver(pipeline, state.plan,
-                                       dict(state.scheme_srcs),
-                                       dict(state.schemes))
-            computed[position] = _check_pending_units(
-                pipeline, state.plan, pending, resolver)
-
     pending_units = sum(len(pending) for _, pending in unique)
     effective = _effective_jobs(jobs, pending_units, len(unique))
-    if effective <= 1:
-        _REGISTRY.inc("pool.serial_batches")
-        compute_serially()
-    else:
+    if effective > 1:
+        shipped: List[_UnitJob] = [
+            (position, state.filename, state.source, pending,
+             list(state.scheme_srcs.items()))
+            for position, (state, pending) in enumerate(unique)]
+        computed: List[Optional[List[Tuple[int, dict]]]] = \
+            [None] * len(unique)
         # Each shard gets its own synthetic tid row: the dispatch windows
         # overlap each other by design, and separate rows keep the B/E
         # stack discipline intact per (pid, tid).  Worker spans come back
@@ -1260,7 +1220,7 @@ def _check_units_parallel(active: List[_FileState], options: DriverOptions,
         begun: List[int] = []
         ended = 0
         try:
-            executor = session.acquire_pool(effective, options)
+            executor = session.acquire_pool(effective, walk.options)
             shards = _shard(shipped, min(effective, len(shipped)))
             futures = []
             for shard_index, shard in enumerate(shards):
@@ -1279,29 +1239,30 @@ def _check_units_parallel(active: List[_FileState], options: DriverOptions,
                     _TRACER.end("pool.shard",
                                 tid=SHARD_TID_BASE + shard_index)
                     ended += 1
-            _REGISTRY.inc("pool.parallel_batches")
         except (OSError, PermissionError,
                 concurrent.futures.process.BrokenProcessPool):
             # A broken/unspawnable pool is dropped (the next batch may
-            # retry); this batch completes in-process.
+            # retry); this batch completes in-process below.
             if traced:
                 for shard_index in begun[ended:]:
                     _TRACER.end("pool.shard",
                                 tid=SHARD_TID_BASE + shard_index)
             session.discard_pool()
-            _REGISTRY.inc("pool.serial_batches")
-            compute_serially()
+        else:
+            _REGISTRY.inc("pool.parallel_batches")
+            for job_index, (state, pending) in enumerate(unit_jobs):
+                payloads = computed[duplicate_of[job_index]]
+                assert payloads is not None
+                is_duplicate = state is not unique[duplicate_of[job_index]][0]
+                for uid, payload in payloads:
+                    unit = state.plan.units[uid]
+                    if not is_duplicate:
+                        walk.record(walk.key(state, unit), payload)
+                    state.resolve(unit, payload)
+                    walk.stats.note(state.filename, unit, None,
+                                    "skipped" if is_duplicate else "checked")
+            return
 
-    for job_index, (state, pending) in enumerate(unit_jobs):
-        payloads = computed[duplicate_of[job_index]]
-        assert payloads is not None
-        is_duplicate = state is not unique[duplicate_of[job_index]][0]
-        for uid, payload in payloads:
-            unit = state.plan.units[uid]
-            key = unit_key(unit.source, state.dep_items(unit), options,
-                           fingerprint)
-            if not is_duplicate:
-                record(key, payload)
-            state.resolve(unit, payload)
-            stats.note(state.filename, unit, None,
-                       "skipped" if is_duplicate else "checked")
+    _REGISTRY.inc("pool.serial_batches")
+    for state, pending in unit_jobs:
+        walk.resolve(state, pending)

@@ -56,7 +56,6 @@ from .batch import (
     check_many_sharded,
     options_fingerprint,
     outline_key,
-    project_file_key,
 )
 # ``build_plan`` stays a module global here although planning now goes
 # through ``Pipeline.parse_and_plan``: perfbench's layer tracer wraps it
@@ -480,7 +479,6 @@ def check_project(sources: Iterable[Tuple[str, str]],
     for level_nodes in plan.levels:
         level_items: List[Tuple[str, str]] = []
         level_externals: List[Dict[str, Optional[str]]] = []
-        level_keys: List[str] = []
         for index in level_nodes:
             node = plan.nodes[index]
             with _TRACER.span("module.resolve", file=node.filename,
@@ -495,17 +493,13 @@ def check_project(sources: Iterable[Tuple[str, str]],
                     in_scope.update(exports[target] or {})
                 referenced = {name: in_scope[name] for name in node.foreign
                               if name in in_scope}
-                file_key = project_file_key(
-                    node.source, sorted(referenced.items()), options,
-                    fingerprint)
             level_items.append((node.filename, node.source))
             level_externals.append(referenced)
-            level_keys.append(file_key)
         exports_out: List[Optional[Dict[str, Optional[str]]]] = \
             [None] * len(level_items)
         level_results = check_many_sharded(
             level_items, options, jobs=jobs, cache=cache, session=session,
-            stats=stats, externals=level_externals, file_keys_in=level_keys,
+            stats=stats, externals=level_externals,
             exports_out=exports_out)
         for position, index in enumerate(level_nodes):
             results[index] = level_results[position]

@@ -885,9 +885,11 @@ class Session:
         throughput benchmarks (``bench_e12``/``bench_e13``/``bench_e15``)
         and the CLI's multi-file mode both call this.
 
-        * ``jobs`` — fan the pending **units** out across that many worker
-          processes in dependency waves; results come back in input order
-          regardless of completion order.
+        * ``jobs`` — fan the pending **units** out across up to that many
+          worker processes, one job per file with its pending units in
+          dependency order (the serial cutoff keeps small batches
+          in-process); results come back in input order regardless of
+          completion order.
         * ``cache`` — a path (or :class:`repro.driver.batch.ResultCache`)
           keyed per compilation unit by the unit's source slice plus the
           schemes of its direct dependencies; editing one binding

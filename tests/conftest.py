@@ -34,6 +34,15 @@ def counts():
 
 
 @pytest.fixture
+def fan_out(monkeypatch):
+    """Send every ``jobs > 1`` batch to the worker pool: the serial cutoff
+    (``batch._effective_jobs``) is patched to use every requested worker."""
+    import repro.driver.batch as batch
+
+    monkeypatch.setattr(batch, "_effective_jobs", lambda jobs, *_: jobs)
+
+
+@pytest.fixture
 def prelude_env():
     from repro.surface.prelude import prelude_env as make_env
     return make_env()

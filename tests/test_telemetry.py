@@ -158,8 +158,7 @@ class TestWorkerMerge:
         assert any(e["ph"] == "M" and e["pid"] == 4242 for e in events)
 
     def test_parallel_check_merges_worker_spans_under_shards(self, tmp_path,
-                                                            monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+                                                            fan_out):
         TRACER.enable()
         with Session() as session:
             results = session.check_many(
@@ -412,8 +411,7 @@ class TestCheckStatsSource:
         assert "skipped: 1" in stats.pretty()
         assert stats.as_dict()["timings"][0]["source"] == "skipped"
 
-    def test_duplicate_jobs_count_as_skipped_in_parallel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+    def test_duplicate_jobs_count_as_skipped_in_parallel(self, fan_out):
         stats = CheckStats()
         with Session() as session:
             results = session.check_many(
